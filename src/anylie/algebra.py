@@ -39,6 +39,7 @@ __all__ = [
     "CheckResult",
     "AxiomReport",
     "SpecFormatError",
+    "grading_constraint",
     "check_grading",
     "check_coalgebra",
     "check_bracket_counit",
@@ -341,26 +342,32 @@ def _bump(acc: dict, key, val: CycNum):
 # the five axiom checks
 # ---------------------------------------------------------------------------
 
+def grading_constraint(group, degrees, tensor: str, key: tuple) -> tuple:
+    """The two degrees that must agree for `tensor` ('eps', 'd' or 'c') to
+    be nonzero at `key`, as (have, want): eps at (mu,) needs p(mu) = 0,
+    d at (mu, nu, rho) needs p(mu) = p(nu) + p(rho), and c at
+    (mu, nu, rho) needs p(rho) = p(mu) + p(nu).  Shared by `check_grading`
+    and the search, which enumerates only slots where the two agree."""
+    if tensor == "eps":
+        return degrees[key[0]], group.zero()
+    mu, nu, rho = key
+    if tensor == "d":
+        return degrees[mu], group.add(degrees[nu], degrees[rho])
+    return degrees[rho], group.add(degrees[mu], degrees[nu])
+
+
 def check_grading(spec: AlgebraSpec) -> AxiomReport:
     """Nonzero entries must respect degrees: eps on degree 0, d splits the
     degree, c adds the degrees."""
-    group = spec.group
-    zero = group.zero()
     witnesses = []
-    for mu in sorted(spec.eps):
-        p = spec.degree_of(mu)
-        if p != zero:
-            witnesses.append(Witness((mu,), p, zero, "eps supported off degree 0"))
-    for (mu, nu, rho) in sorted(spec.d):
-        want = group.add(spec.degree_of(nu), spec.degree_of(rho))
-        if spec.degree_of(mu) != want:
-            witnesses.append(Witness((mu, nu, rho), spec.degree_of(mu), want,
-                                     "coproduct entry splits degree wrongly"))
-    for (mu, nu, rho) in sorted(spec.c):
-        want = group.add(spec.degree_of(mu), spec.degree_of(nu))
-        if spec.degree_of(rho) != want:
-            witnesses.append(Witness((mu, nu, rho), spec.degree_of(rho), want,
-                                     "bracket entry breaks degree additivity"))
+    for tensor, keys, note in (
+            ("eps", [(mu,) for mu in sorted(spec.eps)], "eps supported off degree 0"),
+            ("d", sorted(spec.d), "coproduct entry splits degree wrongly"),
+            ("c", sorted(spec.c), "bracket entry breaks degree additivity")):
+        for key in keys:
+            have, want = grading_constraint(spec.group, spec.degrees, tensor, key)
+            if have != want:
+                witnesses.append(Witness(key, have, want, note))
     return AxiomReport([CheckResult("grading", not witnesses, witnesses)])
 
 

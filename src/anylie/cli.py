@@ -12,7 +12,8 @@ Commands:
     search       brute-force enumeration of low-dimensional algebras
 
 Exit codes: 0 success / checks pass, 1 semantic failure (axioms fail,
-relations outside the supported shape), 2 input or usage errors.  All
+relations outside the supported shape, a rewrite or quotient closure
+that does not stabilise), 2 input or usage errors.  All
 output is a pure function of files and flags; repeated runs are
 byte-identical.
 """
@@ -26,14 +27,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import AlgebraSpec, SpecFormatError, verify_all
+from .algebra import (AlgebraSpec, SpecFormatError, check_coalgebra,
+                      grading_constraint, verify_all)
 from .anyspace import ExprError, parse_theta_expr
 from .constructions import (AnsatzParams, MatrixTypeParams, build_ansatz,
                             build_matrix_type)
 from .cyclotomic import CycNum, root_of_unity
-from .envelope import (NCPoly, RelationShapeError, UnverifiedSpecError,
-                       build_rewrite_system, generate_relations,
-                       quotient_by_central_grouplike)
+from .envelope import (CompletionError, NCPoly, RelationShapeError,
+                       UnverifiedSpecError, build_rewrite_system,
+                       generate_relations, quotient_by_central_grouplike)
 from .grading import Bicharacter, GradingGroup
 
 __all__ = ["main", "SearchSpace", "run_search"]
@@ -325,7 +327,9 @@ class SearchSpace:
     """Finite enumeration of candidate structure tensors.
 
     Every eps / d / c slot ranges over the alphabet; degree assignments
-    either enumerate the whole group or are fixed by `degrees`.
+    either enumerate the whole group or are fixed by `degrees`.  The
+    candidate count and the cap refer to this raw product, although
+    `run_search` visits only the part of it that can pass.
     """
 
     dim: int
@@ -355,7 +359,18 @@ class SearchSpace:
 def run_search(space: SearchSpace):
     """Yield every verified AlgebraSpec in deterministic order.
 
-    No basis-rescaling or permutation canonicalisation is applied, so
+    The order is that of the raw product over degree assignments and the
+    eps, d, c slots (c varying fastest), but two kinds of candidate are
+    skipped without being built, because they cannot pass:
+
+    * grading pruning: a slot that `grading_constraint` forbids takes
+      only the alphabet's zero (and, if the alphabet has none, the degree
+      assignment has no candidates at all);
+    * staging: each (eps, d) prefix is run through `check_coalgebra`,
+      which reads no c, before any c is enumerated for it.
+
+    Every yielded spec still passes the full `verify_all`.  No
+    basis-rescaling or permutation canonicalisation is applied, so
     isomorphic duplicates are reported as distinct solutions.
     """
     count = space.candidate_count()
@@ -364,21 +379,37 @@ def run_search(space: SearchSpace):
             f"candidate count {count} exceeds the cap {space.cap}; "
             "narrow the alphabet, dimension, or degree assignments")
     dim = space.dim
+    group = space.bichar.group
     triples = [(m, n, r) for m in range(dim) for n in range(dim) for r in range(dim)]
     basis = [f"x{i}" for i in range(dim)]
+    zeros = [v for v in space.alphabet if v.is_zero()]
+
+    def choices(degrees, tensor, keys):
+        out = []
+        for key in keys:
+            have, want = grading_constraint(group, degrees, tensor, key)
+            out.append(space.alphabet if have == want else zeros)
+        return out
+
     for degrees in space.degree_assignments():
-        for values in product(space.alphabet, repeat=space.slot_count()):
-            eps_vals = values[:dim]
-            d_vals = values[dim : dim + dim ** 3]
-            c_vals = values[dim + dim ** 3 :]
+        prefix_choices = (choices(degrees, "eps", [(i,) for i in range(dim)])
+                          + choices(degrees, "d", triples))
+        c_choices = choices(degrees, "c", triples)
+        for prefix in product(*prefix_choices):
+            eps_vals = prefix[:dim]
+            d_vals = prefix[dim:]
             if space.require_nonzero_delta and all(v.is_zero() for v in d_vals):
                 continue
             eps = {i: v for i, v in enumerate(eps_vals) if not v.is_zero()}
             d = {t: v for t, v in zip(triples, d_vals) if not v.is_zero()}
-            c = {t: v for t, v in zip(triples, c_vals) if not v.is_zero()}
-            spec = AlgebraSpec(space.bichar, basis, degrees, eps, d, c)
-            if verify_all(spec).passed:
-                yield spec
+            coalgebra = AlgebraSpec(space.bichar, basis, degrees, eps, d, {})
+            if not check_coalgebra(coalgebra).passed:
+                continue
+            for c_vals in product(*c_choices):
+                c = {t: v for t, v in zip(triples, c_vals) if not v.is_zero()}
+                spec = AlgebraSpec(space.bichar, basis, degrees, eps, d, c)
+                if verify_all(spec).passed:
+                    yield spec
 
 
 def _parse_alphabet(text: str, n: int):
@@ -510,7 +541,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnverifiedSpecError, RelationShapeError) as exc:
+    except (UnverifiedSpecError, RelationShapeError, CompletionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SpecFormatError, ExprError, json.JSONDecodeError, OSError,

@@ -124,6 +124,20 @@ def test_env_quotient_flag(l2f3_file, capsys):
     assert "locally confluent" in out
 
 
+def test_env_quotient_without_closure_exits_1(tmp_path, capsys):
+    path = tmp_path / "l2f2.json"
+    assert main(["make-matrix", "--N", "2", "--n", "2", "--f", "0,1",
+                 "-o", str(path)]) == 0
+    capsys.readouterr()
+    # the super case: the quotient closure does not stabilise
+    assert main(["env", str(path), "--quotient",
+                 "x[1,1]*x[2,2] - x[2,1]*x[1,2]"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "stabilise" in line
+
+
 def test_env_unverified_spec_needs_force(l2f3_file, tmp_path, capsys):
     data = json.loads(open(l2f3_file).read())
     data["c"][0]["val"] = {"order": 1, "terms": [[0, "2"]]}
