@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import CycNum
 from .grading import Bicharacter, Degree
+from .sparse import LinComb, accumulate, nonzero
 
 __all__ = [
     "AlgebraSpec",
@@ -58,12 +59,6 @@ class SpecFormatError(ValueError):
     """Raised when an algebra description cannot be parsed."""
 
 
-def _as_cyc(value) -> CycNum:
-    if isinstance(value, CycNum):
-        return value
-    return CycNum.promote(value)
-
-
 class AlgebraSpec:
     """Immutable bundle of basis, degrees and the three structure tensors."""
 
@@ -86,7 +81,7 @@ class AlgebraSpec:
             for mu, val in dict(entries).items():
                 if not 0 <= mu < dim:
                     raise SpecFormatError(f"index {mu} out of range")
-                val = _as_cyc(val)
+                val = CycNum.promote(val)
                 if not val.is_zero():
                     out[mu] = val
             return out
@@ -97,7 +92,7 @@ class AlgebraSpec:
                 mu, nu, rho = key
                 if not (0 <= mu < dim and 0 <= nu < dim and 0 <= rho < dim):
                     raise SpecFormatError(f"{name} index {key} out of range")
-                val = _as_cyc(val)
+                val = CycNum.promote(val)
                 if not val.is_zero():
                     out[(mu, nu, rho)] = val
             return out
@@ -191,18 +186,14 @@ class AlgebraSpec:
         return cls(bichar, basis, degrees, eps, d, c)
 
 
-class Element:
+class Element(LinComb):
     """A vector in the algebra: sparse map basis index -> coefficient."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
-        out = {}
-        for mu, val in dict(coeffs).items():
-            val = _as_cyc(val)
-            if not val.is_zero():
-                out[int(mu)] = val
-        self.coeffs = out
+        self.terms = nonzero({int(mu): CycNum.promote(val)
+                              for mu, val in dict(coeffs).items()})
 
     @classmethod
     def basis(cls, mu: int) -> "Element":
@@ -212,41 +203,10 @@ class Element:
     def zero(cls) -> "Element":
         return cls()
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for mu, val in other.coeffs.items():
-            out[mu] = out.get(mu, CycNum.zero()) + val
-        return Element(out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for mu, val in other.coeffs.items():
-            out[mu] = out.get(mu, CycNum.zero()) - val
-        return Element(out)
-
-    def __rmul__(self, scalar):
-        scalar = _as_cyc(scalar)
-        return Element({mu: scalar * val for mu, val in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def homogeneous_degree(self, spec: AlgebraSpec):
-        """The common degree of the support, or None for mixed/zero."""
-        degs = {spec.degree_of(mu) for mu in self.coeffs}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "Element(0)"
-        parts = [f"({val})*x[{mu}]" for mu, val in sorted(self.coeffs.items())]
+        parts = [f"({val})*x[{mu}]" for mu, val in sorted(self.terms.items())]
         return "Element(" + " + ".join(parts) + ")"
 
 
@@ -333,11 +293,6 @@ def _compare_sparse(lhs: dict, rhs: dict) -> list:
     return witnesses
 
 
-def _bump(acc: dict, key, val: CycNum):
-    cur = acc.get(key)
-    acc[key] = val if cur is None else cur + val
-
-
 # ---------------------------------------------------------------------------
 # the five axiom checks
 # ---------------------------------------------------------------------------
@@ -376,10 +331,10 @@ def check_coalgebra(spec: AlgebraSpec) -> AxiomReport:
     lhs, rhs = {}, {}
     for (mu, alpha, lam), v1 in spec.d.items():
         for (nu, rho, v2) in spec._d_rows.get(alpha, ()):
-            _bump(lhs, (mu, nu, rho, lam), v1 * v2)
+            accumulate(lhs, (mu, nu, rho, lam), v1 * v2)
     for (mu, nu, alpha), v1 in spec.d.items():
         for (rho, lam, v2) in spec._d_rows.get(alpha, ()):
-            _bump(rhs, (mu, nu, rho, lam), v1 * v2)
+            accumulate(rhs, (mu, nu, rho, lam), v1 * v2)
     coassoc = _compare_sparse(lhs, rhs)
 
     counit_w = []
@@ -390,10 +345,10 @@ def check_coalgebra(spec: AlgebraSpec) -> AxiomReport:
         for (nu, rho, val) in spec._d_rows.get(mu, ()):
             e_nu = spec.eps.get(nu)
             if e_nu is not None:
-                _bump(left, rho, e_nu * val)
+                accumulate(left, rho, e_nu * val)
             e_rho = spec.eps.get(rho)
             if e_rho is not None:
-                _bump(right, nu, e_rho * val)
+                accumulate(right, nu, e_rho * val)
         for nu in range(dim):
             want = CycNum.one() if nu == mu else CycNum.zero()
             got_l = left.get(nu, CycNum.zero())
@@ -438,7 +393,7 @@ def check_delta_bracket(spec: AlgebraSpec) -> AxiomReport:
     lhs, rhs = {}, {}
     for (mu, nu, alpha), cv in spec.c.items():
         for (rho, lam, dv) in spec._d_rows.get(alpha, ()):
-            _bump(lhs, (mu, nu, rho, lam), cv * dv)
+            accumulate(lhs, (mu, nu, rho, lam), cv * dv)
     p = spec.degrees
     for mu, row_mu in spec._d_rows.items():
         for (alpha, beta, dv1) in row_mu:
@@ -453,7 +408,7 @@ def check_delta_bracket(spec: AlgebraSpec) -> AxiomReport:
                     ph = spec.phase(p[beta], p[gamma]) * dv1 * dv2
                     for (lam, cv1) in c_bd:
                         for (rho, cv2) in c_ag:
-                            _bump(rhs, (mu, nu, rho, lam), ph * cv1 * cv2)
+                            accumulate(rhs, (mu, nu, rho, lam), ph * cv1 * cv2)
     witnesses = _compare_sparse(lhs, rhs)
     return AxiomReport([CheckResult("delta_bracket", not witnesses, witnesses)])
 
@@ -472,13 +427,13 @@ def check_cocommutation(spec: AlgebraSpec) -> AxiomReport:
         crow = spec._c_by_first.get(alpha)
         if crow:
             for (nu, rho, cv) in crow:
-                _bump(lhs, (mu, nu, rho, lam), dv * cv)
+                accumulate(lhs, (mu, nu, rho, lam), dv * cv)
     for (mu, alpha, lam), dv in spec.d.items():
         crow = spec._c_by_first.get(alpha)
         if crow:
             for (nu, rho, cv) in crow:
                 ph = spec.bichar.phase_power(p[lam], p[nu], 2) * spec.phase(p[lam], p[alpha])
-                _bump(rhs, (mu, nu, rho, lam), ph * dv * cv)
+                accumulate(rhs, (mu, nu, rho, lam), ph * dv * cv)
     witnesses = _compare_sparse(lhs, rhs)
     notes = []
     if spec.group.rank != 1:
@@ -493,7 +448,7 @@ def check_braided_jacobi(spec: AlgebraSpec) -> AxiomReport:
     p = spec.degrees
     for (mu, nu, alpha), cv1 in spec.c.items():
         for (rho, lam, cv2) in spec._c_by_second.get(alpha, ()):
-            _bump(lhs, (mu, nu, rho, lam), cv1 * cv2)
+            accumulate(lhs, (mu, nu, rho, lam), cv1 * cv2)
     for rho, row_rho in spec._d_rows.items():
         for (alpha, beta, dv) in row_rho:
             row_a = spec._c_by_first.get(alpha)
@@ -507,7 +462,7 @@ def check_braided_jacobi(spec: AlgebraSpec) -> AxiomReport:
                     if not c_gd:
                         continue
                     for (lam, cv3) in c_gd:
-                        _bump(rhs, (mu, nu, rho, lam), ph * cv2 * cv3)
+                        accumulate(rhs, (mu, nu, rho, lam), ph * cv2 * cv3)
     witnesses = _compare_sparse(lhs, rhs)
     return AxiomReport([CheckResult("braided_jacobi", not witnesses, witnesses)])
 
@@ -545,7 +500,7 @@ def verify_all(spec: AlgebraSpec) -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 def _check_element(spec: AlgebraSpec, el: Element):
-    for mu in el.coeffs:
+    for mu in el.terms:
         if not 0 <= mu < spec.dim:
             raise ValueError(f"element index {mu} outside dimension {spec.dim}")
 
@@ -555,16 +510,16 @@ def coproduct(spec: AlgebraSpec, el: Element) -> dict:
     {(nu, rho): coefficient}."""
     _check_element(spec, el)
     out = {}
-    for mu, coeff in el.coeffs.items():
+    for mu, coeff in el.terms.items():
         for (nu, rho, val) in spec._d_rows.get(mu, ()):
-            _bump(out, (nu, rho), coeff * val)
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            accumulate(out, (nu, rho), coeff * val)
+    return nonzero(out)
 
 
 def counit(spec: AlgebraSpec, el: Element) -> CycNum:
     _check_element(spec, el)
     total = CycNum.zero()
-    for mu, coeff in el.coeffs.items():
+    for mu, coeff in el.terms.items():
         e = spec.eps.get(mu)
         if e is not None:
             total = total + coeff * e
@@ -575,8 +530,8 @@ def bracket(spec: AlgebraSpec, x: Element, y: Element) -> Element:
     _check_element(spec, x)
     _check_element(spec, y)
     out = {}
-    for mu, cx in x.coeffs.items():
-        for nu, cy in y.coeffs.items():
+    for mu, cx in x.terms.items():
+        for nu, cy in y.terms.items():
             for (rho, val) in spec._c_by_pair.get((mu, nu), ()):
-                _bump(out, rho, cx * cy * val)
-    return Element(out)
+                accumulate(out, rho, cx * cy * val)
+    return x._raw(nonzero(out))

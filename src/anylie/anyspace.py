@@ -13,8 +13,8 @@ coefficient of the top power t^(n-1).
 
 The antipode on monomials uses the closed form
 S(t^k) = (-1)^k zeta_n^(k(k-1)/2) t^k, the phases accumulated by
-reversing k strands; a recursive expansion from the antipode law is kept
-alongside as an independent oracle, and the law itself is property-tested.
+reversing k strands; the test suite checks it against a recursive
+expansion from the antipode law and property-tests the law itself.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclotomic import CycNum, q_integer, root_of_unity
+from .sparse import LinComb, accumulate, nonzero
 
 __all__ = [
     "ThetaPoly",
     "coproduct",
     "counit",
     "antipode",
-    "antipode_recursive",
     "braided_derivative",
     "braided_integral",
     "parse_theta_expr",
@@ -36,18 +36,15 @@ __all__ = [
 ]
 
 
-def _as_cyc(value) -> CycNum:
-    return value if isinstance(value, CycNum) else CycNum.promote(value)
-
-
-class ThetaPoly:
+class ThetaPoly(LinComb):
     """Element of the m-fold braided tensor power of C[t]/t^n.
 
     Terms map exponent tuples (e1..em), all entries < n, to coefficients;
     monomials with any exponent >= n are annihilated on construction.
     """
 
-    __slots__ = ("n", "vars", "terms")
+    __slots__ = ("n", "vars")
+    _context = ("n", "vars")
 
     def __init__(self, n: int, vars: int, terms=()):
         if n < 1:
@@ -65,11 +62,10 @@ class ThetaPoly:
                 raise ValueError("negative exponents are not allowed")
             if any(e >= n for e in exps):
                 continue  # t^n = 0
-            val = _as_cyc(val)
+            val = CycNum.promote(val)
             if not val.is_zero():
-                cur = out.get(exps)
-                out[exps] = val if cur is None else cur + val
-        self.terms = {k: v for k, v in out.items() if not v.is_zero()}
+                accumulate(out, exps, val)
+        self.terms = nonzero(out)
 
     @classmethod
     def zero(cls, n: int, vars: int = 1) -> "ThetaPoly":
@@ -90,37 +86,10 @@ class ThetaPoly:
     @classmethod
     def monomial(cls, n: int, exps, coeff=1) -> "ThetaPoly":
         exps = tuple(exps)
-        return cls(n, len(exps), {exps: _as_cyc(coeff)})
+        return cls(n, len(exps), {exps: coeff})
 
-    def _check_shape(self, other: "ThetaPoly"):
-        if self.n != other.n or self.vars != other.vars:
-            raise ValueError("operands live in different anyspaces")
-
-    def __add__(self, other):
-        self._check_shape(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return ThetaPoly(self.n, self.vars, out)
-
-    def __sub__(self, other):
-        self._check_shape(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            cur = out.get(k)
-            out[k] = -v if cur is None else cur - v
-        return ThetaPoly(self.n, self.vars, out)
-
-    def __neg__(self):
-        return ThetaPoly(self.n, self.vars, {k: -v for k, v in self.terms.items()})
-
-    def scaled(self, scalar) -> "ThetaPoly":
-        scalar = _as_cyc(scalar)
-        return ThetaPoly(self.n, self.vars, {k: scalar * v for k, v in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self.scaled(scalar)
+    def _shape(self):
+        return (self.n, self.vars)
 
     def __mul__(self, other):
         """Braided product: slots stay ordered, and each unit of slot j in
@@ -145,9 +114,8 @@ class ThetaPoly:
                 val = va * vb
                 if crossings % n:
                     val = val * root_of_unity(n, crossings)
-                cur = out.get(exps)
-                out[exps] = val if cur is None else cur + val
-        return ThetaPoly(n, self.vars, out)
+                accumulate(out, exps, val)
+        return self._raw(nonzero(out))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -161,27 +129,8 @@ class ThetaPoly:
             k >>= 1
         return result
 
-    def __eq__(self, other):
-        if not isinstance(other, ThetaPoly):
-            return NotImplemented
-        return self.n == other.n and self.vars == other.vars and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, exps) -> CycNum:
         return self.terms.get(tuple(exps), CycNum.zero())
-
-    def widened(self, vars: int, offset: int = 0) -> "ThetaPoly":
-        """Re-embed into a larger tensor power, shifting slots by offset."""
-        assert vars >= self.vars + offset
-        out = {}
-        for exps, val in self.terms.items():
-            new = [0] * vars
-            for i, e in enumerate(exps):
-                new[i + offset] = e
-            out[tuple(new)] = val
-        return ThetaPoly(self.n, vars, out)
 
     def render(self) -> str:
         if not self.terms:
@@ -236,35 +185,8 @@ def _antipode_monomial(n: int, k: int) -> CycNum:
 def antipode(p: ThetaPoly) -> ThetaPoly:
     if p.vars != 1:
         raise ValueError("antipode is defined on the one-variable line")
-    return ThetaPoly(p.n, 1, {k: _antipode_monomial(p.n, k[0]) * v
-                              for k, v in p.terms.items()})
-
-
-def _antipode_rec_coeff(n: int, k: int, memo: dict) -> CycNum:
-    """Antipode by unwinding the defining identity
-    sum_j [k,j]_q S(t^j) t^(k-j) = delta_{k,0}; independent of the closed
-    form above."""
-    if k in memo:
-        return memo[k]
-    from .cyclotomic import q_binomial
-
-    if k == 0:
-        memo[0] = CycNum.one()
-        return memo[0]
-    q = root_of_unity(n, 1)
-    total = CycNum.zero()
-    for j in range(k):
-        total = total + q_binomial(k, j, q) * _antipode_rec_coeff(n, j, memo)
-    memo[k] = -total
-    return memo[k]
-
-
-def antipode_recursive(p: ThetaPoly) -> ThetaPoly:
-    if p.vars != 1:
-        raise ValueError("antipode is defined on the one-variable line")
-    memo = {}
-    return ThetaPoly(p.n, 1, {k: _antipode_rec_coeff(p.n, k[0], memo) * v
-                              for k, v in p.terms.items()})
+    return p._raw(nonzero({k: _antipode_monomial(p.n, k[0]) * v
+                           for k, v in p.terms.items()}))
 
 
 def braided_derivative(p: ThetaPoly) -> ThetaPoly:
@@ -272,15 +194,8 @@ def braided_derivative(p: ThetaPoly) -> ThetaPoly:
     if p.vars != 1:
         raise ValueError("the derivative acts on the one-variable line")
     q = root_of_unity(p.n, 1)
-    out = {}
-    for (k,), val in p.terms.items():
-        if k == 0:
-            continue
-        coeff = q_integer(k, q) * val
-        if not coeff.is_zero():
-            cur = out.get((k - 1,))
-            out[(k - 1,)] = coeff if cur is None else cur + coeff
-    return ThetaPoly(p.n, 1, out)
+    return p._raw(nonzero({(k - 1,): q_integer(k, q) * val
+                           for (k,), val in p.terms.items() if k}))
 
 
 def braided_integral(p: ThetaPoly) -> CycNum:

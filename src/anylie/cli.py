@@ -106,10 +106,19 @@ def _emit(text: str, out_path=None):
         print(text)
 
 
+def _match_label(spec: AlgebraSpec, text: str, pos: int):
+    """(index, length) of the longest basis label at text[pos:], or None;
+    the first such label wins a tie."""
+    best = None
+    for idx, lab in enumerate(spec.basis):
+        if text.startswith(lab, pos) and (best is None or len(lab) > best[1]):
+            best = (idx, len(lab))
+    return best
+
+
 def _parse_poly(spec: AlgebraSpec, text: str) -> NCPoly:
-    """Polynomial over basis labels with +, -, * and integer coefficients."""
-    labels = sorted(((lab, i) for i, lab in enumerate(spec.basis)),
-                    key=lambda kv: -len(kv[0]))
+    """Polynomial over basis labels with +, -, * and integer coefficients;
+    a digit starts an integer even where a label could match."""
     pos = 0
     tokens = []
     while pos < len(text):
@@ -128,13 +137,11 @@ def _parse_poly(spec: AlgebraSpec, text: str) -> NCPoly:
             tokens.append(("int", int(text[pos:j])))
             pos = j
             continue
-        for lab, idx in labels:
-            if text.startswith(lab, pos):
-                tokens.append(("gen", idx))
-                pos += len(lab)
-                break
-        else:
+        hit = _match_label(spec, text, pos)
+        if hit is None:
             raise SpecFormatError(f"cannot read polynomial at ...{text[pos:pos+12]!r}")
+        tokens.append(("gen", hit[0]))
+        pos += hit[1]
     terms = []
     pending = 1
     current = None
@@ -265,9 +272,7 @@ def cmd_env(args) -> int:
 
 def _parse_word(spec: AlgebraSpec, text: str):
     """Read a word as generator labels or indices; labels may themselves
-    contain commas, so match them greedily."""
-    labels = sorted(((lab, i) for i, lab in enumerate(spec.basis)),
-                    key=lambda kv: -len(kv[0]))
+    contain commas or digits, so they are matched first."""
     word = []
     pos = 0
     while pos < len(text):
@@ -275,20 +280,18 @@ def _parse_word(spec: AlgebraSpec, text: str):
         if ch in ", *":
             pos += 1
             continue
-        for lab, idx in labels:
-            if text.startswith(lab, pos):
-                word.append(idx)
-                pos += len(lab)
-                break
+        hit = _match_label(spec, text, pos)
+        if hit is not None:
+            word.append(hit[0])
+            pos += hit[1]
+        elif ch.isdigit():
+            j = pos
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            word.append(int(text[pos:j]))
+            pos = j
         else:
-            if ch.isdigit():
-                j = pos
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                word.append(int(text[pos:j]))
-                pos = j
-            else:
-                raise SpecFormatError(f"cannot read word at ...{text[pos:pos+12]!r}")
+            raise SpecFormatError(f"cannot read word at ...{text[pos:pos+12]!r}")
     return tuple(word)
 
 

@@ -22,20 +22,10 @@ from math import gcd
 __all__ = [
     "CycNum",
     "cyclotomic_polynomial",
-    "euler_phi",
     "root_of_unity",
     "q_binomial",
     "q_integer",
 ]
-
-
-def euler_phi(m: int) -> int:
-    assert m >= 1
-    count = 0
-    for k in range(1, m + 1):
-        if gcd(k, m) == 1:
-            count += 1
-    return count
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
@@ -370,13 +360,6 @@ class CycNum:
 
     def __repr__(self):
         return "CycNum(%d, %r)" % (self.order, self.coeffs)
-
-    def complex_value(self) -> complex:
-        """Floating-point image, for debug printing only; never compared."""
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.order)
-        return sum(float(c) * z ** e for e, c in enumerate(self.coeffs))
 
 
 @lru_cache(maxsize=None)

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 from .algebra import AlgebraSpec, verify_all
 from .cyclotomic import CycNum
+from .sparse import LinComb, accumulate, nonzero
 
 __all__ = [
     "NCPoly",
@@ -68,25 +69,17 @@ class CompletionError(RuntimeError):
     """The experimental quotient closure did not stabilise."""
 
 
-def _as_cyc(value) -> CycNum:
-    return value if isinstance(value, CycNum) else CycNum.promote(value)
-
-
-class NCPoly:
+class NCPoly(LinComb):
     """Noncommutative polynomial: sparse map word -> coefficient.
 
     Words are tuples of generator indices; the empty word is the unit.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=()):
-        out = {}
-        for word, val in dict(terms).items():
-            val = _as_cyc(val)
-            if not val.is_zero():
-                out[tuple(word)] = val
-        self.terms = out
+        self.terms = nonzero({tuple(word): CycNum.promote(val)
+                              for word, val in dict(terms).items()})
 
     @classmethod
     def zero(cls) -> "NCPoly":
@@ -98,31 +91,7 @@ class NCPoly:
 
     @classmethod
     def word(cls, letters, coeff=1) -> "NCPoly":
-        return cls({tuple(letters): _as_cyc(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, v in other.terms.items():
-            cur = out.get(w)
-            out[w] = v if cur is None else cur + v
-        return NCPoly(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for w, v in other.terms.items():
-            cur = out.get(w)
-            out[w] = -v if cur is None else cur - v
-        return NCPoly(out)
-
-    def __neg__(self):
-        return NCPoly({w: -v for w, v in self.terms.items()})
-
-    def scaled(self, scalar) -> "NCPoly":
-        scalar = _as_cyc(scalar)
-        return NCPoly({w: scalar * v for w, v in self.terms.items()})
+        return cls({tuple(letters): coeff})
 
     def __mul__(self, other):
         if isinstance(other, (int, CycNum)):
@@ -130,22 +99,8 @@ class NCPoly:
         out = {}
         for w1, v1 in self.terms.items():
             for w2, v2 in other.terms.items():
-                w = w1 + w2
-                val = v1 * v2
-                cur = out.get(w)
-                out[w] = val if cur is None else cur + val
-        return NCPoly(out)
-
-    def __rmul__(self, scalar):
-        return self.scaled(scalar)
-
-    def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def support(self):
-        return set(self.terms)
+                accumulate(out, w1 + w2, v1 * v2)
+        return self._raw(nonzero(out))
 
     def render(self, labels=None) -> str:
         if not self.terms:
@@ -169,9 +124,6 @@ class QuadRelation:
     lhs: tuple
     rhs: dict = field(compare=False)
 
-    def rhs_poly(self) -> NCPoly:
-        return NCPoly({pair: val for pair, val in self.rhs.items()})
-
 
 def generate_relations(spec: AlgebraSpec, force: bool = False):
     """The quadratic presentation of the enveloping algebra, one relation
@@ -194,12 +146,8 @@ def generate_relations(spec: AlgebraSpec, force: bool = False):
                     continue
                 ph = spec.phase(p[beta], p[nu]) * dv
                 for (gamma, cv) in crow:
-                    key = (gamma, beta)
-                    val = ph * cv
-                    cur = rhs.get(key)
-                    rhs[key] = val if cur is None else cur + val
-            rhs = {k: v for k, v in rhs.items() if not v.is_zero()}
-            relations.append(QuadRelation((mu, nu), rhs))
+                    accumulate(rhs, (gamma, beta), ph * cv)
+            relations.append(QuadRelation((mu, nu), nonzero(rhs)))
     return relations
 
 
@@ -232,6 +180,10 @@ class RewriteSystem:
     `order` maps generator index -> rank; words compare by length first,
     then lexicographically on ranks.  Rules may have length-1 or length-2
     left sides (length-1 rules appear only after quotient substitutions).
+
+    `normal_form` memoises the normal form of every single word it reduces
+    with coefficient 1 in `_nf_cache`, an unbounded per-instance dict that
+    is never evicted; it lives as long as the system does.
     """
 
     def __init__(self, ngens: int, rules, order=None, labels=None):
@@ -298,13 +250,11 @@ class RewriteSystem:
             cached = self._nf_cache.get(word)
             if cached is not None:
                 for w, v in cached.terms.items():
-                    cur = result.get(w)
-                    result[w] = coeff * v if cur is None else cur + coeff * v
+                    accumulate(result, w, coeff * v)
                 continue
             hit = self._leftmost_redex(word)
             if hit is None:
-                cur = result.get(word)
-                result[word] = coeff if cur is None else cur + coeff
+                accumulate(result, word, coeff)
                 continue
             steps += 1
             if steps > _max_steps:
@@ -314,7 +264,7 @@ class RewriteSystem:
             prefix, suffix = word[:i], word[i + width :]
             for w, v in rule.rhs.terms.items():
                 stack.append((prefix + w + suffix, coeff * v))
-        out = NCPoly(result)
+        out = poly._raw(nonzero(result))
         if len(poly.terms) == 1:
             ((word, coeff),) = poly.terms.items()
             if coeff.is_one():
@@ -334,9 +284,8 @@ class RewriteSystem:
                     continue
                 for rule in self._index.get(key, ()):
                     prefix, suffix = word[:i], word[i + width :]
-                    poly = NCPoly({prefix + w + suffix: v
-                                   for w, v in rule.rhs.terms.items()})
-                    reducts.append(poly)
+                    reducts.append(rule.rhs._raw({prefix + w + suffix: v
+                                                  for w, v in rule.rhs.terms.items()}))
         return reducts
 
     def check_local_confluence(self, degree_cap: int = 4) -> ConfluenceReport:
@@ -416,7 +365,7 @@ def _orient_relations(relations, ngens, order):
             inv = scale.inverse()
             rhs = {k: inv * v for k, v in rhs.items()}
         lam = rhs.pop(swap, CycNum.zero())
-        return lam, {k: v for k, v in rhs.items() if not v.is_zero()}
+        return lam, nonzero(rhs)
 
     def checked_rule(lhs, rhs):
         for word in rhs:
@@ -434,7 +383,7 @@ def _orient_relations(relations, ngens, order):
         if mu == nu:
             rhs = dict(by_pair[(mu, nu)])
             lam = rhs.pop((mu, nu), CycNum.zero())
-            rhs = {k: v for k, v in rhs.items() if not v.is_zero()}
+            rhs = nonzero(rhs)
             if lam == one:
                 if rhs:
                     raise RelationShapeError(
@@ -461,8 +410,7 @@ def _orient_relations(relations, ngens, order):
                 else ((nu, mu), lam2, extra2, (mu, nu), extra1))
             residue = dict(extra_hi)
             for k, v in extra_lo.items():
-                cur = residue.get(k, CycNum.zero())
-                residue[k] = cur + lam_hi * v
+                accumulate(residue, k, lam_hi * v)
             if any(not v.is_zero() for v in residue.values()):
                 raise RelationShapeError(
                     hi, "pair relations imply an extra lower-order relation")
@@ -472,19 +420,15 @@ def _orient_relations(relations, ngens, order):
         else:
             # inconsistent pair: (1 - lam1*lam2) x^mu x^nu = extra1 + lam1*extra2
             inv = (one - prod).inverse()
-            forced = {}
-            for k, v in extra1.items():
-                forced[k] = forced.get(k, CycNum.zero()) + v
+            forced = dict(extra1)
             for k, v in extra2.items():
-                forced[k] = forced.get(k, CycNum.zero()) + lam1 * v
-            forced = {k: inv * v for k, v in forced.items() if not v.is_zero()}
+                accumulate(forced, k, lam1 * v)
+            forced = {k: inv * v for k, v in nonzero(forced).items()}
             checked_rule((mu, nu), forced)
-            partner = {}
-            for k, v in forced.items():
-                partner[k] = partner.get(k, CycNum.zero()) + lam2 * v
+            partner = {k: lam2 * v for k, v in forced.items()}
             for k, v in extra2.items():
-                partner[k] = partner.get(k, CycNum.zero()) + v
-            checked_rule((nu, mu), {k: v for k, v in partner.items() if not v.is_zero()})
+                accumulate(partner, k, v)
+            checked_rule((nu, mu), nonzero(partner))
     return rules
 
 
@@ -527,20 +471,17 @@ def envelope_of(spec: AlgebraSpec, order=None, force: bool = False) -> RewriteSy
 # coproduct on products
 # ---------------------------------------------------------------------------
 
-class TensorSquarePoly:
+class TensorSquarePoly(LinComb):
     """Element of U (x) U with the braided product: legs cross with the
     bicharacter phase of their degrees."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec",)
+    _context = ("spec",)
 
     def __init__(self, spec: AlgebraSpec, terms=()):
         self.spec = spec
-        out = {}
-        for (w1, w2), val in dict(terms).items():
-            val = _as_cyc(val)
-            if not val.is_zero():
-                out[(tuple(w1), tuple(w2))] = val
-        self.terms = out
+        self.terms = nonzero({(tuple(w1), tuple(w2)): CycNum.promote(val)
+                              for (w1, w2), val in dict(terms).items()})
 
     @classmethod
     def unit(cls, spec) -> "TensorSquarePoly":
@@ -553,24 +494,6 @@ class TensorSquarePoly:
             total = group.add(total, self.spec.degree_of(g))
         return total
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            cur = out.get(key)
-            out[key] = val if cur is None else cur + val
-        return TensorSquarePoly(self.spec, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            cur = out.get(key)
-            out[key] = -val if cur is None else cur - val
-        return TensorSquarePoly(self.spec, out)
-
-    def scaled(self, scalar) -> "TensorSquarePoly":
-        scalar = _as_cyc(scalar)
-        return TensorSquarePoly(self.spec, {k: scalar * v for k, v in self.terms.items()})
-
     def __mul__(self, other):
         """Braided product: (u1 (x) u2)(v1 (x) v2) =
         beta(|u2|, |v1|) u1 v1 (x) u2 v2."""
@@ -580,11 +503,8 @@ class TensorSquarePoly:
             d_u2 = self.word_degree(u2)
             for (v1, v2), cv in other.terms.items():
                 ph = bi.phase(d_u2, self.word_degree(v1))
-                key = (u1 + v1, u2 + v2)
-                val = ph * cu * cv
-                cur = out.get(key)
-                out[key] = val if cur is None else cur + val
-        return TensorSquarePoly(self.spec, out)
+                accumulate(out, (u1 + v1, u2 + v2), ph * cu * cv)
+        return self._raw(nonzero(out))
 
     def normalized(self, rs: RewriteSystem) -> "TensorSquarePoly":
         out = {}
@@ -593,19 +513,8 @@ class TensorSquarePoly:
             nf2 = rs.nf_word(w2)
             for u1, v1 in nf1.terms.items():
                 for u2, v2 in nf2.terms.items():
-                    key = (u1, u2)
-                    add = val * v1 * v2
-                    cur = out.get(key)
-                    out[key] = add if cur is None else cur + add
-        return TensorSquarePoly(self.spec, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorSquarePoly):
-            return NotImplemented
-        return self.terms == other.terms
+                    accumulate(out, (u1, u2), val * v1 * v2)
+        return self._raw(nonzero(out))
 
     def render(self, labels=None) -> str:
         labels = labels or self.spec.basis
@@ -685,7 +594,7 @@ def quotient_by_central_grouplike(rs: RewriteSystem, poly: NCPoly,
         raise ValueError(f"element is not central; witnesses {witnesses[:2]}")
     lead = max(nf.terms, key=rs.word_key)
     coeff = nf.terms[lead]
-    rest = NCPoly({w: v for w, v in nf.terms.items() if w != lead})
+    rest = nf._raw({w: v for w, v in nf.terms.items() if w != lead})
     # lead -> (1 - rest) / coeff
     new_rhs = (NCPoly.one() - rest).scaled(coeff.inverse())
     for word in new_rhs.terms:
@@ -709,7 +618,7 @@ def quotient_by_central_grouplike(rs: RewriteSystem, poly: NCPoly,
         diff = forms[0] - forms[1]
         lead = max(diff.terms, key=current.word_key)
         coeff = diff.terms[lead]
-        rest = NCPoly({w: v for w, v in diff.terms.items() if w != lead})
+        rest = diff._raw({w: v for w, v in diff.terms.items() if w != lead})
         rhs = rest.scaled(-(coeff.inverse()))
         rules = list(current.rules) + [Rule(lead, rhs)]
         current = RewriteSystem(rs.ngens, rules, order=rs.order, labels=rs.labels)

@@ -175,19 +175,6 @@ class Bicharacter:
         h = self.group.degree(h)
         return root_of_unity(self.group.exponent, exponent * self._exponent_in_e(g, h))
 
-    def is_skew(self) -> bool:
-        """True iff beta(g, h) * beta(h, g) = 1 everywhere.
-
-        Checked on all pairs of standard generators, which suffices by
-        bimultiplicativity.
-        """
-        gens = list(self.group.generators())
-        for g in gens:
-            for h in gens:
-                if not (self.phase(g, h) * self.phase(h, g)).is_one():
-                    return False
-        return True
-
     def validate(self) -> ValidationReport:
         """Check bimultiplicativity and normalisation.
 

@@ -1,0 +1,82 @@
+"""Sparse linear combinations over Q(zeta_m).
+
+Algebra elements, words of the enveloping algebra, the braided tensor
+square and the anyspace are all finite sums of keys with cyclotomic
+coefficients.  This module is the one place that knows how such a sum is
+stored: a dict from key to nonzero `CycNum`.  `LinComb` carries the
+vector-space operations; each subclass adds only its key normalisation,
+its product rule, its context and its rendering.
+"""
+
+from __future__ import annotations
+
+from .cyclotomic import CycNum
+
+__all__ = ["LinComb", "accumulate", "nonzero"]
+
+
+def accumulate(acc: dict, key, val: CycNum):
+    """acc[key] += val, storing val itself when the key is new."""
+    cur = acc.get(key)
+    acc[key] = val if cur is None else cur + val
+
+
+def nonzero(d: dict) -> dict:
+    """The entries of d whose value is not zero."""
+    return {k: v for k, v in d.items() if not v.is_zero()}
+
+
+class LinComb:
+    """A sparse map key -> nonzero CycNum with the vector-space operations.
+
+    `_context` names the slots, besides `terms`, that a result inherits
+    from its left operand; `_shape` is what two operands must share.
+    """
+
+    __slots__ = ("terms",)
+    _context = ()
+
+    def _raw(self, terms: dict):
+        """A combination in self's space wrapping `terms`, which must hold
+        only nonzero values under already-normalised keys (internal)."""
+        obj = object.__new__(type(self))
+        for name in self._context:
+            setattr(obj, name, getattr(self, name))
+        obj.terms = terms
+        return obj
+
+    def _shape(self):
+        return None
+
+    def _check_shape(self, other):
+        if self._shape() != other._shape():
+            raise ValueError("operands live in different spaces: "
+                             f"{self._shape()} and {other._shape()}")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._check_shape(other)
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            accumulate(out, k, v)
+        return self._raw(nonzero(out))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._raw({k: -v for k, v in self.terms.items()})
+
+    def scaled(self, scalar):
+        scalar = CycNum.promote(scalar)
+        return self._raw(nonzero({k: scalar * v for k, v in self.terms.items()}))
+
+    def __rmul__(self, scalar):
+        return self.scaled(scalar)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._shape() == other._shape() and self.terms == other.terms

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from anylie import cli
 from anylie.algebra import AlgebraSpec, verify_all
 from anylie.cli import main
+from anylie.envelope import NCPoly
 
 from conftest import z
 
@@ -161,6 +163,29 @@ def test_nf_command(l2f3_file, capsys):
     (entry,) = data["nf"]
     assert entry["word"] == [0, 3]
     assert CycNum.from_json(entry["val"]).is_one()
+
+
+def test_labels_sharing_a_prefix(l2f3_file, tmp_path, capsys):
+    """'a' is a prefix of 'ab': 'aba' reads as (ab, a) both as an nf word
+    and in a --quotient polynomial, so d*a - c*b gives the usual quotient."""
+    names = {"x[1,1]": "a", "x[2,2]": "ab"}
+    data = json.loads(open(l2f3_file).read())
+    for entry in data["basis"]:
+        entry["name"] = names.get(entry["name"], entry["name"])
+    path = tmp_path / "prefix.json"
+    path.write_text(json.dumps(data))
+    spec = AlgebraSpec.from_json(path.read_text())
+    assert cli._parse_word(spec, "aba") == (3, 0)
+    assert cli._parse_poly(spec, "aba") == NCPoly.word((3, 0))
+    assert main(["nf", str(path), "aba"]) == 0
+    assert capsys.readouterr().out == "(1)*a*ab\n"
+    assert main(["env", str(path), "--quotient", "aba - x[2,1]*x[1,2]"]) == 0
+    got = capsys.readouterr().out
+    assert main(["env", l2f3_file, "--quotient", "x[1,1]*x[2,2] - x[2,1]*x[1,2]"]) == 0
+    want = capsys.readouterr().out
+    for old, new in names.items():
+        want = want.replace(old, new)
+    assert got == want
 
 
 def test_nf_unknown_generator_exits_2(l2f3_file, capsys):
