@@ -72,34 +72,30 @@ class AlgebraSpec:
         group = bichar.group
         self.bichar = bichar
         self.basis = tuple(str(b) for b in basis)
+        if "" in self.basis:
+            raise SpecFormatError("basis labels must be nonempty")
+        if len(set(self.basis)) != dim:
+            raise SpecFormatError("basis labels must be distinct")
         if len(degrees) != dim:
             raise SpecFormatError("one degree per basis element required")
         self.degrees = tuple(group.degree(p) for p in degrees)
 
-        def clean_vec(entries):
-            out = {}
-            for mu, val in dict(entries).items():
-                if not 0 <= mu < dim:
-                    raise SpecFormatError(f"index {mu} out of range")
-                val = CycNum.promote(val)
-                if not val.is_zero():
-                    out[mu] = val
-            return out
-
-        def clean_tensor(entries, name):
+        def clean(entries, name, arity):
+            """Entries keyed by one basis index (arity 1) or by a tuple of
+            `arity` indices, checked to lie in range; zeros are dropped."""
             out = {}
             for key, val in dict(entries).items():
-                mu, nu, rho = key
-                if not (0 <= mu < dim and 0 <= nu < dim and 0 <= rho < dim):
+                indices = (key,) if arity == 1 else key
+                if len(indices) != arity or not all(0 <= i < dim for i in indices):
                     raise SpecFormatError(f"{name} index {key} out of range")
                 val = CycNum.promote(val)
                 if not val.is_zero():
-                    out[(mu, nu, rho)] = val
+                    out[key] = val
             return out
 
-        self.eps = clean_vec(eps)
-        self.d = clean_tensor(d, "d")
-        self.c = clean_tensor(c, "c")
+        self.eps = clean(eps, "eps", 1)
+        self.d = clean(d, "d", 3)
+        self.c = clean(c, "c", 3)
 
         d_rows = {}
         for (mu, nu, rho), val in self.d.items():

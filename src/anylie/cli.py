@@ -11,11 +11,10 @@ Commands:
     anyspace     expand expressions on the braided line C[t]/t^n
     search       brute-force enumeration of low-dimensional algebras
 
-Exit codes: 0 success / checks pass, 1 semantic failure (axioms fail,
-relations outside the supported shape, a rewrite or quotient closure
-that does not stabilise), 2 input or usage errors.  All
-output is a pure function of files and flags; repeated runs are
-byte-identical.
+Exit codes: 0 success / checks pass, 1 semantic failure (axioms fail, a
+rewrite that exhausts its step budget, a quotient closure that does not
+close), 2 input or usage errors.  All output is a pure function of files
+and flags; repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from .anyspace import ExprError, parse_theta_expr
 from .constructions import (AnsatzParams, MatrixTypeParams, build_ansatz,
                             build_matrix_type)
 from .cyclotomic import CycNum, root_of_unity
-from .envelope import (CompletionError, NCPoly, RelationShapeError,
-                       UnverifiedSpecError, build_rewrite_system,
-                       generate_relations, quotient_by_central_grouplike)
+from .envelope import (CompletionError, NCPoly, UnverifiedSpecError,
+                       build_rewrite_system, generate_relations,
+                       quotient_by_central_grouplike)
 from .grading import Bicharacter, GradingGroup
 
 __all__ = ["main", "SearchSpace", "run_search"]
@@ -504,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="generate relations even if the algebra fails verification")
     p.add_argument("--quotient",
-                   help="central grouplike polynomial to set equal to 1 (experimental)")
+                   help="central grouplike polynomial to set equal to 1")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_env)
 
@@ -544,7 +543,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnverifiedSpecError, RelationShapeError, CompletionError) as exc:
+    except (UnverifiedSpecError, CompletionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SpecFormatError, ExprError, json.JSONDecodeError, OSError,

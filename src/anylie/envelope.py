@@ -6,23 +6,28 @@ quadratic relation per ordered generator pair,
     x^mu x^nu  =  sum  beta(p(b), p(nu)) d^mu_{a,b} c^{a,nu}_g  x^g x^b,
 
 a quasi-commutation: the right side is the swapped pair plus strictly
-smaller words.  `build_rewrite_system` orients these into terminating
-rules and derives the forced consequences:
+smaller words.  `build_rewrite_system` orients these by Gauss-Jordan
+elimination, with each pivot at the largest word of its row in a deg-lex
+word order; the reduced basis is the rule set.  The forced consequences
+come out as rules with right side 0:
 
   * if x y = L y x and y x = L' x y with L L' != 1, both products are zero
     (the pair is "inconsistent", so it collapses);
   * if x x = L x x with L != 1, x is nilpotent of order two.
 
 The derived zero pairs and nilpotents are consequences of the relations,
-never inputs.  Words reduce to a unique normal form once the local
-confluence check passes; the check is a brute-force diamond test over all
-words up to a degree cap, which at these dimensions is a proof.
+never inputs.  Words reduce to a unique normal form once the system is
+confluent.  `check_critical_pairs` decides that at all degrees from the
+overlap and inclusion ambiguities of the rules (Bergman's diamond lemma);
+`check_local_confluence` is a brute-force diamond test over all words up
+to a degree cap.
 
 Quotients by a central grouplike element (setting it equal to 1) are
-mechanised by `quotient_by_central_grouplike`: the largest word of the
-element becomes reducible and the system is re-closed by a small
-completion loop.  The operation is best-effort and flagged experimental;
-it raises if the closure does not stabilise.
+closed by `quotient_by_central_grouplike`: the relation element - 1 joins
+the rules through the same elimination, and critical pairs are resolved
+until none diverges (Knuth-Bendix completion), which proves the result
+confluent.  Completion need not terminate, so it gives up with
+`CompletionError` after `MAX_ROUNDS` rounds.
 """
 
 from __future__ import annotations
@@ -51,10 +56,14 @@ __all__ = [
     "quotient_by_central_grouplike",
 ]
 
+# Rounds of critical pairs a quotient closure may take.  The closures in
+# the tests and the README finish in at most 6; an endless family such as
+# x_a x_b^k x_c -> 0 adds one width per round, and each round costs more.
+MAX_ROUNDS = 16
+
 
 class RelationShapeError(ValueError):
-    """A relation falls outside the quasi-commutation shape the engine
-    supports; carries the offending generator pair."""
+    """A relation is not quadratic; carries its left side."""
 
     def __init__(self, pair, message):
         self.pair = pair
@@ -66,7 +75,7 @@ class UnverifiedSpecError(ValueError):
 
 
 class CompletionError(RuntimeError):
-    """The experimental quotient closure did not stabilise."""
+    """Rewriting or the quotient closure did not finish."""
 
 
 class NCPoly(LinComb):
@@ -175,11 +184,13 @@ class ConfluenceReport:
 
 
 class RewriteSystem:
-    """Oriented quasi-commutation rules plus derived zero/nilpotent data.
+    """Oriented rewrite rules plus derived zero/nilpotent data.
 
     `order` maps generator index -> rank; words compare by length first,
-    then lexicographically on ranks.  Rules may have length-1 or length-2
-    left sides (length-1 rules appear only after quotient substitutions).
+    then lexicographically on ranks.  This deg-lex order is a well-order
+    compatible with concatenation, so a rule set whose right sides lie
+    below their left sides terminates.  Left sides may have any positive
+    width: the enveloping relations give width 2, quotients add others.
 
     `normal_form` memoises the normal form of every single word it reduces
     with coefficient 1 in `_nf_cache`, an unbounded per-instance dict that
@@ -196,11 +207,23 @@ class RewriteSystem:
         self.order = tuple(order)
         self.rank = {g: i for i, g in enumerate(order)}
         self.labels = tuple(labels) if labels else tuple(f"x{g}" for g in range(ngens))
-        self.rules = list(rules)
-        self._index = {}
-        for rule in self.rules:
-            self._index.setdefault(rule.lhs, []).append(rule)
+        self.rules = []
+        self._index = {}  # each nonempty prefix of a left side -> rules with that lhs
+        self._widths = ()  # the lengths of the left sides, ascending
         self._nf_cache = {}
+        for rule in rules:
+            self._add(rule)
+
+    def _add(self, rule):
+        if not rule.lhs:
+            raise ValueError("a rule needs a nonempty left side")
+        self.rules.append(rule)
+        for k in range(1, len(rule.lhs)):
+            self._index.setdefault(rule.lhs[:k], [])
+        self._index.setdefault(rule.lhs, []).append(rule)
+        if len(rule.lhs) not in self._widths:
+            self._widths = tuple(sorted(self._widths + (len(rule.lhs),)))
+        self._nf_cache.clear()
 
     # -- word order --------------------------------------------------------
 
@@ -230,13 +253,19 @@ class RewriteSystem:
 
     # -- rewriting -----------------------------------------------------------
 
-    def _leftmost_redex(self, word):
-        for i in range(len(word)):
-            if word[i : i + 1] in self._index:
-                return i, 1
-            if i + 1 < len(word) and word[i : i + 2] in self._index:
-                return i, 2
-        return None
+    def _redexes(self, word):
+        """Every (position, rule) whose left side occurs in the word:
+        leftmost position first, narrower left sides first at a position."""
+        index, size = self._index, len(word)
+        for i in range(size):
+            for width in self._widths:
+                if i + width > size:
+                    break
+                rules = index.get(word[i : i + width])
+                if rules is None:  # not even a prefix: no wider left side fits
+                    break
+                for rule in rules:
+                    yield i, rule
 
     def normal_form(self, poly: NCPoly, _max_steps: int = 2_000_000) -> NCPoly:
         """Rewrite to normal form; unique when the system is confluent."""
@@ -252,16 +281,15 @@ class RewriteSystem:
                 for w, v in cached.terms.items():
                     accumulate(result, w, coeff * v)
                 continue
-            hit = self._leftmost_redex(word)
-            if hit is None:
+            for i, rule in self._redexes(word):
+                break
+            else:
                 accumulate(result, word, coeff)
                 continue
             steps += 1
             if steps > _max_steps:
                 raise CompletionError("rewriting exceeded the step budget")
-            i, width = hit
-            rule = self._index[word[i : i + width]][0]
-            prefix, suffix = word[:i], word[i + width :]
+            prefix, suffix = word[:i], word[i + len(rule.lhs) :]
             for w, v in rule.rhs.terms.items():
                 stack.append((prefix + w + suffix, coeff * v))
         out = poly._raw(nonzero(result))
@@ -276,17 +304,42 @@ class RewriteSystem:
 
     def _one_step_reducts(self, word):
         """Every single rewrite of the word, over all positions and rules."""
-        reducts = []
-        for i in range(len(word)):
-            for width in (1, 2):
-                key = word[i : i + width]
-                if len(key) < width:
-                    continue
-                for rule in self._index.get(key, ()):
-                    prefix, suffix = word[:i], word[i + width :]
-                    reducts.append(rule.rhs._raw({prefix + w + suffix: v
-                                                  for w, v in rule.rhs.terms.items()}))
-        return reducts
+        return [_placed(word[:i], rule.rhs, word[i + len(rule.lhs) :])
+                for i, rule in self._redexes(word)]
+
+    def critical_pairs(self):
+        """Bergman's ambiguities as (word, reduct, reduct): each inclusion,
+        where one left side occurs inside another, and each overlap, where
+        a proper suffix of one left side is a proper prefix of another."""
+        by_prefix = {}
+        for rule in self.rules:
+            for k in range(1, len(rule.lhs)):
+                by_prefix.setdefault(rule.lhs[:k], []).append(rule)
+        pairs = []
+        for rule in self.rules:
+            lhs = rule.lhs
+            for i, other in self._redexes(lhs):
+                if other is not rule:
+                    pairs.append((lhs, rule.rhs,
+                                  _placed(lhs[:i], other.rhs, lhs[i + len(other.lhs) :])))
+            for k in range(1, len(lhs)):
+                for other in by_prefix.get(lhs[-k:], ()):
+                    tail = other.lhs[k:]
+                    pairs.append((lhs + tail, _placed((), rule.rhs, tail),
+                                  _placed(lhs[:-k], other.rhs, ())))
+        return pairs
+
+    def check_critical_pairs(self) -> ConfluenceReport:
+        """Normal-form both reducts of every critical pair.  For rules that
+        descend in the word order this decides confluence at all degrees
+        (Bergman's diamond lemma); `words_checked` counts the pairs."""
+        divergences = []
+        pairs = self.critical_pairs()
+        for word, left, right in pairs:
+            forms = [self.normal_form(left), self.normal_form(right)]
+            if forms[0] != forms[1]:
+                divergences.append((word, forms))
+        return ConfluenceReport(not divergences, divergences, len(pairs))
 
     def check_local_confluence(self, degree_cap: int = 4) -> ConfluenceReport:
         """Reduce every word of length <= degree_cap along every one-step
@@ -329,136 +382,58 @@ class RewriteSystem:
                 f"{len(self.zero_pairs)} zero pairs, {len(self.nilpotents)} nilpotents)")
 
 
-def _orient_relations(relations, ngens, order):
-    """Turn quasi-commutation relations into oriented rules and derive the
-    zero/nilpotent consequences, iterating pruning to a fixpoint."""
-    rank = {g: i for i, g in enumerate(order)}
+def _placed(prefix, poly: NCPoly, suffix) -> NCPoly:
+    """prefix * poly * suffix for words prefix and suffix."""
+    return poly._raw({prefix + w + suffix: v for w, v in poly.terms.items()})
 
-    def pair_key(pair):
-        return (rank[pair[0]], rank[pair[1]])
 
-    by_pair = {}
-    for rel in relations:
-        if len(rel.lhs) != 2:
-            raise RelationShapeError(rel.lhs, "only quadratic relations are supported")
-        if rel.lhs in by_pair:
-            raise RelationShapeError(rel.lhs, "duplicate relation for the pair")
-        by_pair[rel.lhs] = dict(rel.rhs)
+def _orient(row: NCPoly, word_key) -> Rule:
+    """Solve row = 0 for its largest word: the rule lead -> rhs, with every
+    word of rhs below lead."""
+    lead = max(row.terms, key=word_key)
+    if not lead:
+        raise CompletionError("the relations imply 1 = 0")
+    coeff = row.terms[lead]
+    rest = row._raw({w: v for w, v in row.terms.items() if w != lead})
+    if coeff.is_one() or not rest.terms:
+        return Rule(lead, -rest)
+    return Rule(lead, rest.scaled(-coeff.inverse()))
 
-    one = CycNum.one()
-    rules = {}
 
-    def shape_split(pair, rhs):
-        """Split a relation's right side into the swapped-pair coefficient
-        and the remaining words.  No descent check here: only the relation
-        that actually becomes a rule needs its terms below the left side."""
-        mu, nu = pair
-        swap = (nu, mu)
-        rhs = dict(rhs)
-        self_coeff = rhs.pop(pair, None)
-        if self_coeff is not None:
-            # move the lhs term over: (1 - a) lhs = rest
-            scale = one - self_coeff
-            if scale.is_zero():
-                raise RelationShapeError(
-                    pair, "relation degenerates to 0 = lower terms")
-            inv = scale.inverse()
-            rhs = {k: inv * v for k, v in rhs.items()}
-        lam = rhs.pop(swap, CycNum.zero())
-        return lam, nonzero(rhs)
+def _eliminate(system: RewriteSystem, rows) -> RewriteSystem:
+    """`system` extended by the relations row = 0, interreduced.
 
-    def checked_rule(lhs, rhs):
-        for word in rhs:
-            if not pair_key(word) < pair_key(lhs):
-                raise RelationShapeError(
-                    lhs, f"term x{word[0]}*x{word[1]} is not below the left side "
-                         "in the generator order")
-        rules[lhs] = rhs
-
-    seen = set()
-    for (mu, nu) in sorted(by_pair, key=pair_key):
-        if (mu, nu) in seen:
-            continue
-        seen.add((mu, nu))
-        if mu == nu:
-            rhs = dict(by_pair[(mu, nu)])
-            lam = rhs.pop((mu, nu), CycNum.zero())
-            rhs = nonzero(rhs)
-            if lam == one:
-                if rhs:
-                    raise RelationShapeError(
-                        (mu, nu), "relation degenerates to 0 = lower terms")
-                continue  # x^mu * x^mu is free
-            scale = (one - lam).inverse()
-            checked_rule((mu, nu), {k: scale * v for k, v in rhs.items()})
-            continue
-        rel_ab = by_pair.get((mu, nu))
-        rel_ba = by_pair.get((nu, mu))
-        if rel_ab is None or rel_ba is None:
-            raise RelationShapeError((mu, nu), "missing partner relation for the pair")
-        seen.add((nu, mu))
-        lam1, extra1 = shape_split((mu, nu), rel_ab)
-        lam2, extra2 = shape_split((nu, mu), rel_ba)
-        prod = lam1 * lam2
-        if prod == one:
-            # consistent quasi-commutation; substituting one relation into
-            # the other must cancel exactly, else a lower-order relation is
-            # implied and the pair is outside the supported shape
-            hi, lam_hi, extra_hi, lo, extra_lo = (
-                ((mu, nu), lam1, extra1, (nu, mu), extra2)
-                if pair_key((mu, nu)) > pair_key((nu, mu))
-                else ((nu, mu), lam2, extra2, (mu, nu), extra1))
-            residue = dict(extra_hi)
-            for k, v in extra_lo.items():
-                accumulate(residue, k, lam_hi * v)
-            if any(not v.is_zero() for v in residue.values()):
-                raise RelationShapeError(
-                    hi, "pair relations imply an extra lower-order relation")
-            rhs = {lo: lam_hi}
-            rhs.update(extra_hi)
-            checked_rule(hi, rhs)
-        else:
-            # inconsistent pair: (1 - lam1*lam2) x^mu x^nu = extra1 + lam1*extra2
-            inv = (one - prod).inverse()
-            forced = dict(extra1)
-            for k, v in extra2.items():
-                accumulate(forced, k, lam1 * v)
-            forced = {k: inv * v for k, v in nonzero(forced).items()}
-            checked_rule((mu, nu), forced)
-            partner = {k: lam2 * v for k, v in forced.items()}
-            for k, v in extra2.items():
-                accumulate(partner, k, v)
-            checked_rule((nu, mu), nonzero(partner))
-    return rules
+    Gauss-Jordan elimination over words: each row, in the given order, is
+    reduced by the rules so far and oriented at its largest word.  Then
+    every right side is brought to normal form.  For quadratic rows added
+    to an empty system the result is the reduced row-echelon basis of
+    their span, which is unique.
+    """
+    work = RewriteSystem(system.ngens, system.rules, system.order, system.labels)
+    for row in rows:
+        row = work.normal_form(row)
+        if not row.is_zero():
+            work._add(_orient(row, work.word_key))
+    rules = sorted((Rule(r.lhs, work.normal_form(r.rhs)) for r in work.rules),
+                   key=lambda r: r.lhs)
+    return RewriteSystem(system.ngens, rules, system.order, system.labels)
 
 
 def build_rewrite_system(relations, ngens: int, order=None, labels=None) -> RewriteSystem:
-    """Orient quasi-commutation relations and close the consequences.
+    """Orient quadratic relations into the reduced rule set of their span.
 
-    `order` is the generator order (default: spec order).  Raises
-    `RelationShapeError` if a relation cannot be oriented.
+    Zero pairs and nilpotents come out as rules with right side 0.  The
+    relations are taken from the largest left side down.  `order` is the
+    generator order (default: spec order).  Raises `RelationShapeError`
+    for a relation that is not quadratic.
     """
-    if order is None:
-        order = tuple(range(ngens))
-    if sorted(order) != list(range(ngens)):
-        raise ValueError("generator order must be a permutation of all indices")
-    rule_map = _orient_relations(relations, ngens, order)
-    rules = [Rule(lhs, NCPoly(rhs)) for lhs, rhs in sorted(rule_map.items())]
-    rs = RewriteSystem(ngens, rules, order=order, labels=labels)
-    # prune rule right sides against the finished system (e.g. words that
-    # contain a derived zero pair), iterating to a fixpoint
-    for _ in range(len(rules) + 1):
-        changed = False
-        new_rules = []
-        for rule in rs.rules:
-            nf = rs.normal_form(rule.rhs)
-            if nf != rule.rhs:
-                changed = True
-            new_rules.append(Rule(rule.lhs, nf))
-        rs = RewriteSystem(ngens, new_rules, order=order, labels=labels)
-        if not changed:
-            break
-    return rs
+    empty = RewriteSystem(ngens, (), order, labels)
+    rows = []
+    for rel in sorted(relations, key=lambda rel: empty.word_key(rel.lhs), reverse=True):
+        if len(rel.lhs) != 2 or any(len(w) != 2 for w in rel.rhs):
+            raise RelationShapeError(rel.lhs, "only quadratic relations are supported")
+        rows.append(NCPoly.word(rel.lhs) - NCPoly(rel.rhs))
+    return _eliminate(empty, rows)
 
 
 def envelope_of(spec: AlgebraSpec, order=None, force: bool = False) -> RewriteSystem:
@@ -573,18 +548,19 @@ def is_grouplike(spec: AlgebraSpec, rs: RewriteSystem, poly: NCPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# quotient substitution (experimental)
+# quotient by a central grouplike element
 # ---------------------------------------------------------------------------
 
-def quotient_by_central_grouplike(rs: RewriteSystem, poly: NCPoly,
-                                  max_rounds: int = 60) -> RewriteSystem:
+def quotient_by_central_grouplike(rs: RewriteSystem, poly: NCPoly) -> RewriteSystem:
     """Set a central grouplike element equal to 1 and re-close the system.
 
-    The largest word of the element (in the system's monomial order)
-    becomes the left side of a new rule; divergences discovered by the
-    brute-force diamond check are oriented into further rules until the
-    system is again locally confluent.  Experimental: the re-closure is a
-    desk-scale completion, not a general Knuth-Bendix.
+    The relation poly - 1 joins the rules of `rs` through the same
+    elimination that builds them.  Each round then normal-forms both
+    reducts of every critical pair and adds each difference as a relation.
+    The loop stops when no pair diverges, which proves the result
+    confluent at all degrees when the rules of `rs` descend in its word
+    order, as those of `build_rewrite_system` do.  Raises `CompletionError` if that takes
+    more than `MAX_ROUNDS` rounds: completion need not terminate.
     """
     nf = rs.normal_form(poly)
     if nf.is_zero():
@@ -592,35 +568,13 @@ def quotient_by_central_grouplike(rs: RewriteSystem, poly: NCPoly,
     central, witnesses = rs.is_central(nf)
     if not central:
         raise ValueError(f"element is not central; witnesses {witnesses[:2]}")
-    lead = max(nf.terms, key=rs.word_key)
-    coeff = nf.terms[lead]
-    rest = nf._raw({w: v for w, v in nf.terms.items() if w != lead})
-    # lead -> (1 - rest) / coeff
-    new_rhs = (NCPoly.one() - rest).scaled(coeff.inverse())
-    for word in new_rhs.terms:
-        if not rs.word_less(word, lead) and word != lead:
-            raise CompletionError(
-                f"substitution for {lead} is not descending (term {word})")
-    rules = list(rs.rules) + [Rule(lead, new_rhs)]
-    current = RewriteSystem(rs.ngens, rules, order=rs.order, labels=rs.labels)
-
-    max_lhs = max(len(r.lhs) for r in current.rules)
-    for _ in range(max_rounds):
-        # renormalise rule right sides against the current system
-        renamed = []
-        for rule in current.rules:
-            renamed.append(Rule(rule.lhs, current.normal_form(rule.rhs)))
-        current = RewriteSystem(rs.ngens, renamed, order=rs.order, labels=rs.labels)
-        report = current.check_local_confluence(degree_cap=max(3, max_lhs + 1))
+    rows = [nf - NCPoly.one()]
+    current = rs
+    for _ in range(MAX_ROUNDS):
+        current = _eliminate(current, rows)
+        report = current.check_critical_pairs()
         if report.confluent:
             return current
-        word, forms = report.divergences[0]
-        diff = forms[0] - forms[1]
-        lead = max(diff.terms, key=current.word_key)
-        coeff = diff.terms[lead]
-        rest = diff._raw({w: v for w, v in diff.terms.items() if w != lead})
-        rhs = rest.scaled(-(coeff.inverse()))
-        rules = list(current.rules) + [Rule(lead, rhs)]
-        current = RewriteSystem(rs.ngens, rules, order=rs.order, labels=rs.labels)
-    raise CompletionError("quotient closure did not stabilise; the element may "
-                          "not admit this mechanised substitution")
+        rows = [left - right for _, (left, right) in report.divergences]
+    raise CompletionError(f"quotient closure did not close in {MAX_ROUNDS} rounds "
+                          "of critical pairs; completion may not terminate here")

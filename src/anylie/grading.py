@@ -176,23 +176,9 @@ class Bicharacter:
         return root_of_unity(self.group.exponent, exponent * self._exponent_in_e(g, h))
 
     def validate(self) -> ValidationReport:
-        """Check bimultiplicativity and normalisation.
-
-        Matrix-backed phases satisfy the laws by construction, so generator
-        pairs are enough there; a raw table is checked over the whole group.
-        """
+        """Check normalisation and bimultiplicativity over the whole group."""
         failures = []
         zero = self.group.zero()
-        if self.table is None:
-            pairs = [(g, h) for g in self.group.generators() for h in self.group.generators()]
-            for g, h in pairs:
-                left = self.phase(self.group.add(g, g), h)
-                right = self.phase(g, h) * self.phase(g, h)
-                if left != right:
-                    failures.append(f"beta(g+g,h) != beta(g,h)^2 at {(g, h)}")
-            if not self.phase(zero, zero).is_one():
-                failures.append("beta(0,0) != 1")
-            return ValidationReport(not failures, tuple(failures))
         elems = list(self.group.elements())
         for g in elems:
             if not self.phase(g, zero).is_one():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,17 +131,34 @@ def test_env_quotient_flag(l2f3_file, capsys):
 
 
 def test_env_quotient_without_closure_exits_1(tmp_path, capsys):
-    path = tmp_path / "l2f2.json"
-    assert main(["make-matrix", "--N", "2", "--n", "2", "--f", "0,1",
+    path = tmp_path / "m3.json"
+    assert main(["make-matrix", "--N", "3", "--n", "3", "--f", "0,0,1",
                  "-o", str(path)]) == 0
     capsys.readouterr()
-    # the super case: the quotient closure does not stabilise
-    assert main(["env", str(path), "--quotient",
-                 "x[1,1]*x[2,2] - x[2,1]*x[1,2]"]) == 1
+    # completion must add x_a x_b^k x_c -> 0 for every k, so it never closes
+    assert main(["env", str(path), "--quotient", "x[1,1]"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line.startswith("error: ") and "stabilise" in line
+    assert line.startswith("error: ") and "did not close" in line
+
+
+@pytest.mark.parametrize("names", [["", "h", "e", "f"], ["x0", "h", "e", "h"]])
+def test_empty_or_duplicate_labels_exit_2(sl2_file, tmp_path, names):
+    """An empty label used to match with length 0, so reading a word never
+    advanced; run in a subprocess so that a hang fails the test."""
+    data = json.loads(open(sl2_file).read())
+    for entry, name in zip(data["basis"], names):
+        entry["name"] = name
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "anylie.cli", "nf", str(bad), "2"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "basis labels" in line
 
 
 def test_env_unverified_spec_needs_force(l2f3_file, tmp_path, capsys):
@@ -147,7 +168,7 @@ def test_env_unverified_spec_needs_force(l2f3_file, tmp_path, capsys):
     bad.write_text(json.dumps(data))
     assert main(["env", str(bad)]) == 1
     capsys.readouterr()
-    # --force generates relations anyway (may then fail shape checks)
+    # --force generates relations anyway
     code = main(["env", str(bad), "--force"])
     assert code in (0, 1)
 

@@ -152,17 +152,27 @@ def test_inconsistent_system_divergence_witness(l2f3):
 
 
 def test_shape_errors():
-    # quadratic but not quasi-commutation: x0^2 = x1^2 ascends
+    """Elimination orients any quadratic span at its largest words; the
+    three inputs the pairwise orientation refused now give rule sets."""
+    def rules_of(relations):
+        rs = build_rewrite_system(relations, 2)
+        return {r.lhs: r.rhs for r in rs.rules}
+
+    # x0^2 = x1^2 ascends: the pivot is the larger word x1x1
+    assert rules_of([QuadRelation((0, 0), {(1, 1): ONE})]) == {
+        (1, 1): NCPoly.word((0, 0))}
+    # a lone relation needs no partner
+    assert rules_of([QuadRelation((0, 1), {(1, 0): ONE})]) == {
+        (1, 0): NCPoly.word((0, 1))}
+    # x1 x1 = x1 x1 + x0 x0 leaves 0 = x0 x0
+    assert rules_of([QuadRelation((1, 1), {(1, 1): ONE, (0, 0): ONE})]) == {
+        (0, 0): NCPoly.zero()}
+    # not quadratic
     with pytest.raises(RelationShapeError) as err:
-        build_rewrite_system([QuadRelation((0, 0), {(1, 1): ONE})], 2)
-    assert "(0, 0)" in str(err.value)
-    # missing partner relation
+        build_rewrite_system([QuadRelation((0, 0, 1), {(1, 0): ONE})], 2)
+    assert "(0, 0, 1)" in str(err.value)
     with pytest.raises(RelationShapeError):
-        build_rewrite_system([QuadRelation((0, 1), {(1, 0): ONE})], 2)
-    # degenerate: x y = x y + lower is 0 = lower
-    with pytest.raises(RelationShapeError):
-        build_rewrite_system(
-            [QuadRelation((1, 1), {(1, 1): ONE, (0, 0): ONE})], 2)
+        build_rewrite_system([QuadRelation((0, 1), {(1,): ONE})], 2)
 
 
 def test_delta_on_products_examples(l2f3, l2f3_rs, l2f2, l2f2_rs):
