@@ -141,6 +141,12 @@ def _parse_poly(spec: AlgebraSpec, text: str) -> NCPoly:
             raise SpecFormatError(f"cannot read polynomial at ...{text[pos:pos+12]!r}")
         tokens.append(("gen", hit[0]))
         pos += hit[1]
+    factor = [isinstance(tok, tuple) for tok in tokens] + [False]
+    for i, tok in enumerate(tokens):
+        if tok == "*" and not (i and factor[i - 1] and factor[i + 1]):
+            raise SpecFormatError(f"'*' needs a factor on each side in polynomial {text!r}")
+    if tokens and not factor[-2]:
+        raise SpecFormatError(f"polynomial ends in a dangling {tokens[-1]!r}: {text!r}")
     terms = []
     pending = 1
     current = None
@@ -287,7 +293,11 @@ def _parse_word(spec: AlgebraSpec, text: str):
             j = pos
             while j < len(text) and text[j].isdigit():
                 j += 1
-            word.append(int(text[pos:j]))
+            idx = int(text[pos:j])
+            if idx >= spec.dim:
+                raise SpecFormatError(
+                    f"generator index {idx} out of range: the spec has {spec.dim} generators")
+            word.append(idx)
             pos = j
         else:
             raise SpecFormatError(f"cannot read word at ...{text[pos:pos+12]!r}")

@@ -1,9 +1,12 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_m).
 
 A number is stored as its coordinate vector in the power basis
-1, z, ..., z^(phi(m)-1) of Q(zeta_m), z = exp(2*pi*i/m), always reduced
-modulo the m-th cyclotomic polynomial.  Reduction makes equality canonical
-and the representation a genuine field: no zero divisors, exact inverses.
+1, z, ..., z^(phi(m)-1) of Q(zeta_m), z = exp(2*pi*i/m).  One cached table,
+`_power_rows(m)`, holds the integer coordinates of z^e for e < m, and
+`_reduce` folds a polynomial of any length onto the basis through it:
+construction, products, lifting and roots of unity take this one path.
+Reduction makes equality canonical and the representation a genuine
+field: no zero divisors, exact inverses.
 Mixed-order arithmetic embeds both operands into Q(zeta_L), L = lcm of the
 orders, via z_m = z_L^(L/m).  Elements are never re-minimised into a
 smaller cyclotomic subfield; they keep their declared order.
@@ -26,6 +29,8 @@ __all__ = [
     "q_binomial",
     "q_integer",
 ]
+
+_ZERO = Fraction(0)  # shared as padding; Fractions are immutable
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
@@ -72,38 +77,36 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(m: int) -> tuple:
-    """Power basis images of x^e mod Phi_m for e in [deg, 2*deg - 2]."""
+def _power_rows(m: int) -> tuple:
+    """Integer power-basis coordinates of z^e in Q(zeta_m), e = 0..m-1:
+    repeated multiplication by z, with z^deg rewritten through Phi_m."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
-    first = tuple(Fraction(-c) for c in phi[:deg])
-    rows = [first]
-    prev = first
-    for _ in range(deg + 1, 2 * deg - 1):
-        shifted = (Fraction(0),) + prev
-        top = shifted[deg]
-        cur = shifted[:deg]
-        if top:
-            cur = tuple(a + top * b for a, b in zip(cur, first))
-        rows.append(cur)
-        prev = cur
+    top = tuple(-c for c in phi[:deg])
+    rows = []
+    row = (1,) + (0,) * (deg - 1)
+    for _ in range(m):
+        rows.append(row)
+        lead = row[-1]
+        row = (0,) + row[:-1]
+        if lead:
+            row = tuple(a + lead * b for a, b in zip(row, top))
     return tuple(rows)
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], m: int) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta_m (any degree) to the power basis."""
-    # fold exponents mod m first: zeta_m^m = 1
-    if len(coeffs) > m:
-        folded = [Fraction(0)] * m
-        for e, c in enumerate(coeffs):
-            folded[e % m] += c
-        coeffs = folded
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    if len(coeffs) > deg:
-        _, coeffs = _poly_divmod(coeffs, [Fraction(c) for c in phi])
-    out = list(coeffs) + [Fraction(0)] * (deg - len(coeffs))
-    return tuple(out[:deg])
+def _reduce(coeffs: list, m: int) -> tuple:
+    """Fold sum(coeffs[e] * z^e), a Fraction list of any length, onto the
+    power basis of Q(zeta_m)."""
+    rows = _power_rows(m)
+    deg = len(rows[0])
+    out = coeffs[:deg] + [_ZERO] * (deg - len(coeffs))
+    for e in range(deg, len(coeffs)):
+        c = coeffs[e]
+        if c:
+            for i, r in enumerate(rows[e % m]):
+                if r:
+                    out[i] += c * r
+    return tuple(out)
 
 
 class CycNum:
@@ -116,10 +119,8 @@ class CycNum:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=()):
-        if order < 1:
-            raise ValueError("cyclotomic order must be >= 1")
         self.order = order
-        self.coeffs = _reduce_mod_phi([Fraction(c) for c in coeffs], order)
+        self.coeffs = _reduce([Fraction(c) for c in coeffs], order)
 
     @classmethod
     def _raw(cls, order: int, coeffs: tuple) -> "CycNum":
@@ -157,10 +158,9 @@ class CycNum:
             return self
         assert new_order % self.order == 0
         step = new_order // self.order
-        raised = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for e, c in enumerate(self.coeffs):
-            raised[e * step] += c
-        return CycNum(new_order, raised)
+        raised = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
+        raised[::step] = self.coeffs
+        return CycNum._raw(new_order, _reduce(raised, new_order))
 
     def _pair(self, other):
         other = CycNum.promote(other)
@@ -199,24 +199,13 @@ class CycNum:
             return NotImplemented
         a, b = self._pair(other)
         n = len(a.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1)
+        prod = [_ZERO] * (2 * n - 1)
         for i, ci in enumerate(a.coeffs):
             if ci:
                 for j, cj in enumerate(b.coeffs):
                     if cj:
                         prod[i + j] += ci * cj
-        if n == 1:
-            return CycNum._raw(a.order, (prod[0],))
-        rows = _reduction_rows(a.order)
-        low = prod[:n]
-        for e in range(n, 2 * n - 1):
-            ce = prod[e]
-            if ce:
-                row = rows[e - n]
-                for i, ri in enumerate(row):
-                    if ri:
-                        low[i] += ce * ri
-        return CycNum._raw(a.order, tuple(low))
+        return CycNum._raw(a.order, _reduce(prod, a.order))
 
     __rmul__ = __mul__
 
@@ -224,37 +213,20 @@ class CycNum:
         """Multiplicative inverse via the extended Euclidean algorithm."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        # invariants: r0 = s0*self mod Phi, r1 = s1*self mod Phi
-        r0, s0 = list(self.coeffs), [Fraction(1)]
-        r1, s1 = phi, [Fraction(0)]
-        while True:
-            while r0 and r0[-1] == 0:
-                r0.pop()
-            if len(r0) == 1:
-                inv_lead = 1 / r0[0]
-                return CycNum(self.order, [c * inv_lead for c in s0])
-            if len(r0) < len(r1):
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            quot, rem = _poly_divmod(r0, r1)
-            new_s = list(s0)
-            for i, qc in enumerate(quot):
-                if qc:
-                    while len(new_s) < i + len(s1):
-                        new_s.append(Fraction(0))
-                    for j, sc in enumerate(s1):
-                        new_s[i + j] -= qc * sc
-            r0, r1 = r1, rem if rem else [Fraction(0)]
-            s0, s1 = s1, new_s
-            if r1 == [Fraction(0)]:
-                # r0 divides the previous remainder; since Phi_m is
-                # irreducible this forces r0 constant, handled above
-                while r0 and r0[-1] == 0:
-                    r0.pop()
-                assert len(r0) == 1
-                inv_lead = 1 / r0[0]
-                return CycNum(self.order, [c * inv_lead for c in s0])
+        m = self.order
+        r0 = list(self.coeffs)
+        while r0[-1] == 0:
+            r0.pop()
+        # r0 = s0*self and r1 = s1*self mod Phi_m; Phi_m is irreducible,
+        # so the remainders reach a nonzero constant before zero
+        r1 = [Fraction(c) for c in cyclotomic_polynomial(m)]
+        s0, s1 = CycNum.one(m), CycNum.zero(m)
+        while len(r0) > 1:
+            quot, rem = _poly_divmod(r1, r0)
+            r0, r1 = rem, r0
+            s0, s1 = s1 - CycNum(m, quot) * s0, s0
+        inv_lead = 1 / r0[0]
+        return CycNum._raw(m, tuple(c * inv_lead for c in s0.coeffs))
 
     def __truediv__(self, other):
         if not isinstance(other, (CycNum, int, Fraction)):
@@ -304,10 +276,6 @@ class CycNum:
             return NotImplemented
         a, b = self._pair(other)
         return a.coeffs == b.coeffs
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     # equality crosses orders through the lcm embedding, so there is no
     # cheap canonical form to hash without re-minimising orders
@@ -370,10 +338,7 @@ def root_of_unity(m: int, k: int) -> CycNum:
     """
     if m < 1:
         raise ValueError("root_of_unity needs order m >= 1")
-    k %= m
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
-    return CycNum(m, coeffs)
+    return CycNum._raw(m, tuple(Fraction(r) for r in _power_rows(m)[k % m]))
 
 
 def q_integer(k: int, q: CycNum) -> CycNum:

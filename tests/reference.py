@@ -2,11 +2,12 @@
 conveniences kept out of the library."""
 
 import cmath
+from fractions import Fraction
 from math import gcd
 
 from anylie.algebra import Element
 from anylie.anyspace import ThetaPoly
-from anylie.cyclotomic import CycNum, q_binomial, root_of_unity
+from anylie.cyclotomic import CycNum, cyclotomic_polynomial, q_binomial, root_of_unity
 from anylie.envelope import NCPoly, RelationShapeError, RewriteSystem, Rule
 from anylie.sparse import accumulate, nonzero
 
@@ -199,3 +200,97 @@ def build_rewrite_system_pairwise(relations, ngens: int, order=None,
         if not changed:
             break
     return rs
+
+
+# The reduction modulo Phi_m that the power table replaced: dense polynomial
+# division, and the extended Euclidean inverse on plain coefficient lists.
+# `_poly_divmod` and `_reduce_mod_phi` are copied unchanged; the inverse's
+# two exits return the coordinate tuple through `_reduce_mod_phi` instead of
+# the `CycNum` constructor.  The reference for tests/test_cyclotomic.py.
+
+def _poly_divmod(num: list[Fraction], den: list[Fraction]):
+    """Quotient and remainder of dense polynomial division (den monic-led)."""
+    num = list(num)
+    dden = len(den) - 1
+    lead = den[-1]
+    quot = [Fraction(0)] * max(len(num) - dden, 1)
+    for i in range(len(num) - dden - 1, -1, -1):
+        coeff = num[i + dden] / lead
+        if coeff:
+            quot[i] = coeff
+            for j, dj in enumerate(den):
+                num[i + j] -= coeff * dj
+    rem = num[:dden]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def _reduce_mod_phi(coeffs: list[Fraction], m: int) -> tuple[Fraction, ...]:
+    """Reduce a polynomial in zeta_m (any degree) to the power basis."""
+    # fold exponents mod m first: zeta_m^m = 1
+    if len(coeffs) > m:
+        folded = [Fraction(0)] * m
+        for e, c in enumerate(coeffs):
+            folded[e % m] += c
+        coeffs = folded
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    if len(coeffs) > deg:
+        _, coeffs = _poly_divmod(coeffs, [Fraction(c) for c in phi])
+    out = list(coeffs) + [Fraction(0)] * (deg - len(coeffs))
+    return tuple(out[:deg])
+
+
+def inverse_euclid(self) -> tuple:
+    """Multiplicative inverse via the extended Euclidean algorithm."""
+    if self.is_zero():
+        raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
+    phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
+    # invariants: r0 = s0*self mod Phi, r1 = s1*self mod Phi
+    r0, s0 = list(self.coeffs), [Fraction(1)]
+    r1, s1 = phi, [Fraction(0)]
+    while True:
+        while r0 and r0[-1] == 0:
+            r0.pop()
+        if len(r0) == 1:
+            inv_lead = 1 / r0[0]
+            return _reduce_mod_phi([c * inv_lead for c in s0], self.order)
+        if len(r0) < len(r1):
+            r0, r1, s0, s1 = r1, r0, s1, s0
+            continue
+        quot, rem = _poly_divmod(r0, r1)
+        new_s = list(s0)
+        for i, qc in enumerate(quot):
+            if qc:
+                while len(new_s) < i + len(s1):
+                    new_s.append(Fraction(0))
+                for j, sc in enumerate(s1):
+                    new_s[i + j] -= qc * sc
+        r0, r1 = r1, rem if rem else [Fraction(0)]
+        s0, s1 = s1, new_s
+        if r1 == [Fraction(0)]:
+            # r0 divides the previous remainder; since Phi_m is
+            # irreducible this forces r0 constant, handled above
+            while r0 and r0[-1] == 0:
+                r0.pop()
+            assert len(r0) == 1
+            inv_lead = 1 / r0[0]
+            return _reduce_mod_phi([c * inv_lead for c in s0], self.order)
+
+
+def lifted_by_division(x: CycNum, new_order: int) -> tuple:
+    """The old `CycNum.lifted`: spread the exponents, then divide by Phi_L."""
+    step = new_order // x.order
+    raised = [Fraction(0)] * ((len(x.coeffs) - 1) * step + 1)
+    for e, c in enumerate(x.coeffs):
+        raised[e * step] += c
+    return _reduce_mod_phi(raised, new_order)
+
+
+def root_by_division(m: int, k: int) -> tuple:
+    """zeta_m^k reduced the old way, by division."""
+    k %= m
+    coeffs = [Fraction(0)] * (k + 1)
+    coeffs[k] = Fraction(1)
+    return _reduce_mod_phi(coeffs, m)

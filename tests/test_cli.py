@@ -143,6 +143,12 @@ def test_env_quotient_without_closure_exits_1(tmp_path, capsys):
     assert line.startswith("error: ") and "did not close" in line
 
 
+def run_cli(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "anylie.cli", *args],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
 @pytest.mark.parametrize("names", [["", "h", "e", "f"], ["x0", "h", "e", "h"]])
 def test_empty_or_duplicate_labels_exit_2(sl2_file, tmp_path, names):
     """An empty label used to match with length 0, so reading a word never
@@ -152,13 +158,42 @@ def test_empty_or_duplicate_labels_exit_2(sl2_file, tmp_path, names):
         entry["name"] = name
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "anylie.cli", "nf", str(bad), "2"],
-                          capture_output=True, text=True, timeout=60, env=env)
+    proc = run_cli("nf", str(bad), "2")
     assert proc.returncode == 2
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ") and "basis labels" in line
+
+
+@pytest.mark.parametrize("word, flags", [("9", []), ("0,9", ["--json"]), ("4", [])])
+def test_nf_generator_index_out_of_range_exits_2(l2f3_file, word, flags):
+    """Indices name generators 0..dim-1; a larger one used to end in an
+    IndexError traceback, or to print a normal form over no generator."""
+    proc = run_cli("nf", l2f3_file, word, *flags)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "out of range" in line
+
+
+@pytest.mark.parametrize("poly", ["x[1,1] -", "x[1,1] +", "x[1,1] *", "* x[1,1]",
+                                  "x[1,1] * * x[2,2]", "x[1,1] * - x[2,2]", "-"])
+def test_quotient_dangling_operator_exits_2(l2f3_file, poly):
+    proc = run_cli("env", l2f3_file, "--quotient", poly)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and repr(poly) in line
+
+
+def test_poly_parser_reads_well_formed_input(l2f3_file):
+    spec = AlgebraSpec.from_json(open(l2f3_file).read())
+    a, b, c, d = (NCPoly.word((g,)) for g in range(4))
+    assert cli._parse_poly(spec, "x[1,1]*x[2,2] - x[2,1]*x[1,2]") == a * d - c * b
+    assert cli._parse_poly(spec, "-x[1,1] + - x[2,2]") == -a - d
+    assert cli._parse_poly(spec, "2 x[1,1] * 3 - -x[1,2]") == a.scaled(6) + b
+    assert cli._parse_poly(spec, "x[1,1]x[2,2]") == a * d
+    assert cli._parse_poly(spec, "") == NCPoly.zero()
 
 
 def test_env_unverified_spec_needs_force(l2f3_file, tmp_path, capsys):

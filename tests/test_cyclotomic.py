@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anylie.cyclotomic import (CycNum, cyclotomic_polynomial, q_binomial,
+from anylie.cyclotomic import (CycNum, _power_rows, cyclotomic_polynomial, q_binomial,
                                q_integer, root_of_unity)
 
 from conftest import z
-from reference import complex_value, euler_phi
+from reference import (_reduce_mod_phi, complex_value, euler_phi, inverse_euclid,
+                       lifted_by_division, root_by_division)
 
 
 def test_cyclotomic_polynomials_small():
@@ -226,3 +227,38 @@ def test_phi_cache_concurrent_reads():
     for m in range(1, 40):
         first = results[m][0]
         assert all(r == first for r in results[m])
+
+
+# differential test: the power table against the division-based reduction
+# it replaced, on every order up to 40 and on polynomials up to length 3m
+ORDERS = [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 25, 27, 30, 31, 32, 36, 37]
+
+
+@st.composite
+def order_and_coeffs(draw):
+    m = draw(st.one_of(st.sampled_from(ORDERS), st.integers(min_value=1, max_value=40)))
+    coeffs = draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                           max_size=3 * m))
+    return m, coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(order_and_coeffs(), st.integers(min_value=1, max_value=3), st.integers())
+def test_power_table_matches_division(case, k, e):
+    m, coeffs = case
+    x = CycNum(m, coeffs)
+    assert x.coeffs == _reduce_mod_phi(list(coeffs), m)
+    assert all(type(c) is Fraction for c in x.coeffs)
+    assert x.lifted(k * m).coeffs == lifted_by_division(x, k * m)
+    assert root_of_unity(m, e).coeffs == root_by_division(m, e)
+    assert _power_rows(m)[e % m] == root_by_division(m, e)
+    if not x.is_zero():
+        assert x.inverse().coeffs == inverse_euclid(x)
+
+
+def test_power_rows_every_order():
+    for m in range(1, 41):
+        rows = _power_rows(m)
+        assert len(rows) == m
+        assert all(type(r) is int for row in rows for r in row)
+        assert [tuple(row) for row in rows] == [root_by_division(m, e) for e in range(m)]
