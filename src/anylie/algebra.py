@@ -126,15 +126,6 @@ class AlgebraSpec:
     def phase(self, g: Degree, h: Degree) -> CycNum:
         return self.bichar.phase(g, h)
 
-    def label(self, mu: int) -> str:
-        return self.basis[mu]
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.basis.index(label)
-        except ValueError:
-            raise KeyError(f"no basis element named {label!r}")
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraSpec):
             return NotImplemented
@@ -250,12 +241,6 @@ class AxiomReport:
 
     def merged(self, other: "AxiomReport") -> "AxiomReport":
         return AxiomReport(self.checks + other.checks, self.info + other.info)
-
-    def check(self, name: str) -> CheckResult:
-        for ch in self.checks + self.info:
-            if ch.name == name:
-                return ch
-        raise KeyError(name)
 
     def to_json(self) -> dict:
         def enc(ch):

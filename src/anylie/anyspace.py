@@ -19,9 +19,11 @@ expansion from the antipode law and property-tests the law itself.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from .cyclotomic import CycNum, q_integer, root_of_unity
+from .expr import ExprError, parse_expr
 from .sparse import LinComb, accumulate, nonzero
 
 __all__ = [
@@ -117,17 +119,8 @@ class ThetaPoly(LinComb):
                 accumulate(out, exps, val)
         return self._raw(nonzero(out))
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        result = ThetaPoly.one(self.n, self.vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+    def _unit_key(self):
+        return (0,) * self.vars
 
     def coefficient(self, exps) -> CycNum:
         return self.terms.get(tuple(exps), CycNum.zero())
@@ -206,125 +199,28 @@ def braided_integral(p: ThetaPoly) -> CycNum:
 
 
 # ---------------------------------------------------------------------------
-# tiny expression grammar for the command line: +, -, *, ^, ( ), t1..tm
+# command-line expressions in t1..tm
 # ---------------------------------------------------------------------------
 
-class ExprError(ValueError):
-    pass
-
-
-def _tokenize(src: str):
-    tokens = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append(ch)
-            i += 1
-            continue
-        if ch == "t":
-            j = i + 1
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ExprError("variable needs a slot number, like t1")
-            tokens.append(("var", int(src[i + 1 : j])))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            tokens.append(("int", int(src[i:j])))
-            i = j
-            continue
-        raise ExprError(f"unexpected character {ch!r} at position {i}")
-    return tokens
+_VAR = re.compile(r"t(\d+)")
 
 
 def parse_theta_expr(src: str, n: int, vars: int = None) -> ThetaPoly:
-    """Parse an expression over +, -, *, integer powers and t1..tm.
+    """Read an expression in t1..tm in the grammar of `anylie.expr`.
 
     If `vars` is omitted, the number of slots is the largest variable
     index that appears (at least 1).
     """
-    tokens = _tokenize(src)
     if vars is None:
-        vars = max([t[1] for t in tokens if isinstance(t, tuple) and t[0] == "var"],
-                   default=1)
-    pos = 0
+        vars = max([1] + [int(k) for k in _VAR.findall(src)])
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
+    def read_var(text, pos):
+        match = _VAR.match(text, pos)
+        if match is None:
+            return None
+        slot = int(match.group(1))
+        if not 1 <= slot <= vars:
+            raise ExprError(f"variable t{slot} outside 1..{vars} in {text!r}")
+        return ThetaPoly.theta(n, vars, slot), match.end()
 
-    def take(expected=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ExprError("unexpected end of expression")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ExprError(f"expected {expected!r}, found {tok!r}")
-        pos += 1
-        return tok
-
-    def parse_sum():
-        node = parse_product()
-        while peek() in ("+", "-"):
-            op = take()
-            right = parse_product()
-            node = node + right if op == "+" else node - right
-        return node
-
-    def parse_product():
-        node = parse_power()
-        while True:
-            nxt = peek()
-            if nxt == "*":
-                take()
-                node = node * parse_power()
-            elif nxt == "(" or (isinstance(nxt, tuple) and nxt[0] == "var"):
-                node = node * parse_power()  # juxtaposition
-            else:
-                return node
-
-    def parse_power():
-        base = parse_atom()
-        if peek() == "^":
-            take()
-            tok = take()
-            if not (isinstance(tok, tuple) and tok[0] == "int"):
-                raise ExprError("exponent must be a nonnegative integer")
-            return base ** tok[1]
-        return base
-
-    def parse_atom():
-        tok = peek()
-        if tok == "(":
-            take()
-            node = parse_sum()
-            take(")")
-            return node
-        if tok == "-":
-            take()
-            return -parse_atom()
-        if tok == "+":
-            take()
-            return parse_atom()
-        if isinstance(tok, tuple) and tok[0] == "var":
-            take()
-            slot = tok[1]
-            if not 1 <= slot <= vars:
-                raise ExprError(f"variable t{slot} outside 1..{vars}")
-            return ThetaPoly.theta(n, vars, slot)
-        if isinstance(tok, tuple) and tok[0] == "int":
-            take()
-            return ThetaPoly.one(n, vars).scaled(tok[1])
-        raise ExprError(f"unexpected token {tok!r}")
-
-    result = parse_sum()
-    if pos != len(tokens):
-        raise ExprError(f"trailing input from token {tokens[pos]!r}")
-    return result
+    return parse_expr(src, ThetaPoly.one(n, vars), read_var)

@@ -13,8 +13,9 @@ Commands:
 
 Exit codes: 0 success / checks pass, 1 semantic failure (axioms fail, a
 rewrite that exhausts its step budget, a quotient closure that does not
-close), 2 input or usage errors.  All output is a pure function of files
-and flags; repeated runs are byte-identical.
+close, nf on rules whose critical pairs do not all resolve), 2 input or
+usage errors.  All output is a pure function of files and flags;
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ from itertools import product
 
 from .algebra import (AlgebraSpec, SpecFormatError, check_coalgebra,
                       grading_constraint, verify_all)
-from .anyspace import ExprError, parse_theta_expr
+from .anyspace import parse_theta_expr
 from .constructions import (AnsatzParams, MatrixTypeParams, build_ansatz,
                             build_matrix_type)
 from .cyclotomic import CycNum, root_of_unity
 from .envelope import (CompletionError, NCPoly, UnverifiedSpecError,
-                       build_rewrite_system, generate_relations,
+                       build_rewrite_system, envelope_of, generate_relations,
                        quotient_by_central_grouplike)
+from .expr import ExprError, parse_expr
 from .grading import Bicharacter, GradingGroup
 
 __all__ = ["main", "SearchSpace", "run_search"]
@@ -116,72 +118,16 @@ def _match_label(spec: AlgebraSpec, text: str, pos: int):
 
 
 def _parse_poly(spec: AlgebraSpec, text: str) -> NCPoly:
-    """Polynomial over basis labels with +, -, * and integer coefficients;
-    a digit starts an integer even where a label could match."""
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "+-*":
-            tokens.append(ch)
-            pos += 1
-            continue
-        if ch.isdigit():
-            j = pos
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[pos:j])))
-            pos = j
-            continue
+    """Polynomial over the basis labels in the grammar of `anylie.expr`;
+    blank text is 0."""
+    if not text.strip():
+        return NCPoly.zero()
+
+    def read_label(text, pos):
         hit = _match_label(spec, text, pos)
-        if hit is None:
-            raise SpecFormatError(f"cannot read polynomial at ...{text[pos:pos+12]!r}")
-        tokens.append(("gen", hit[0]))
-        pos += hit[1]
-    factor = [isinstance(tok, tuple) for tok in tokens] + [False]
-    for i, tok in enumerate(tokens):
-        if tok == "*" and not (i and factor[i - 1] and factor[i + 1]):
-            raise SpecFormatError(f"'*' needs a factor on each side in polynomial {text!r}")
-    if tokens and not factor[-2]:
-        raise SpecFormatError(f"polynomial ends in a dangling {tokens[-1]!r}: {text!r}")
-    terms = []
-    pending = 1
-    current = None
+        return None if hit is None else (NCPoly.word((hit[0],)), pos + hit[1])
 
-    def flush():
-        nonlocal current, pending
-        if current is not None:
-            terms.append(current)
-        current = None
-        pending = 1
-
-    for tok in tokens:
-        if tok == "+":
-            flush()
-        elif tok == "-":
-            if current is None:
-                pending = -pending
-            else:
-                flush()
-                pending = -1
-        elif tok == "*":
-            continue
-        elif tok[0] == "int":
-            if current is None:
-                current = [pending, []]
-            current[0] *= tok[1]
-        else:
-            if current is None:
-                current = [pending, []]
-            current[1].append(tok[1])
-    flush()
-    poly = NCPoly.zero()
-    for coeff, word in terms:
-        poly = poly + NCPoly.word(tuple(word), coeff)
-    return poly
+    return parse_expr(text, NCPoly.one(), read_label)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +252,13 @@ def _parse_word(spec: AlgebraSpec, text: str):
 
 def cmd_nf(args) -> int:
     spec = _load_spec(args.spec)
-    order = _order_from_flag(spec, args.order)
-    rels = generate_relations(spec, force=args.force)
-    rs = build_rewrite_system(rels, spec.dim, order=order, labels=spec.basis)
-    nf = rs.nf_word(_parse_word(spec, args.word))
+    rs = envelope_of(spec, _order_from_flag(spec, args.order), force=args.force)
+    word = _parse_word(spec, args.word)
+    report = rs.check_critical_pairs()
+    if not report.confluent:
+        at = "*".join(spec.basis[g] for g in report.divergences[0][0])
+        raise CompletionError(f"normal forms are not unique: the critical pair at {at} diverges")
+    nf = rs.nf_word(word)
     if args.json:
         print(json.dumps({"nf": [{"word": list(w), "val": v.to_json()}
                                  for w, v in sorted(nf.terms.items())]}, sort_keys=True))

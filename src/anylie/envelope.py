@@ -61,6 +61,10 @@ __all__ = [
 # x_a x_b^k x_c -> 0 adds one width per round, and each round costs more.
 MAX_ROUNDS = 16
 
+# Rewrite steps one `normal_form` call may take before it gives up with
+# `CompletionError`: a guard against rules that do not descend.
+MAX_STEPS = 2_000_000
+
 
 class RelationShapeError(ValueError):
     """A relation is not quadratic; carries its left side."""
@@ -75,7 +79,7 @@ class UnverifiedSpecError(ValueError):
 
 
 class CompletionError(RuntimeError):
-    """Rewriting or the quotient closure did not finish."""
+    """Rewriting or a quotient closure did not finish, or normal forms are not unique."""
 
 
 class NCPoly(LinComb):
@@ -101,6 +105,9 @@ class NCPoly(LinComb):
     @classmethod
     def word(cls, letters, coeff=1) -> "NCPoly":
         return cls({tuple(letters): coeff})
+
+    def _unit_key(self):
+        return ()
 
     def __mul__(self, other):
         if isinstance(other, (int, CycNum)):
@@ -230,9 +237,6 @@ class RewriteSystem:
     def word_key(self, word):
         return (len(word), tuple(self.rank[g] for g in word))
 
-    def word_less(self, a, b) -> bool:
-        return self.word_key(a) < self.word_key(b)
-
     # -- derived sets --------------------------------------------------------
 
     @property
@@ -267,7 +271,7 @@ class RewriteSystem:
                 for rule in rules:
                     yield i, rule
 
-    def normal_form(self, poly: NCPoly, _max_steps: int = 2_000_000) -> NCPoly:
+    def normal_form(self, poly: NCPoly) -> NCPoly:
         """Rewrite to normal form; unique when the system is confluent."""
         if isinstance(poly, (tuple, list)):
             poly = NCPoly.word(poly)
@@ -287,7 +291,7 @@ class RewriteSystem:
                 accumulate(result, word, coeff)
                 continue
             steps += 1
-            if steps > _max_steps:
+            if steps > MAX_STEPS:
                 raise CompletionError("rewriting exceeded the step budget")
             prefix, suffix = word[:i], word[i + len(rule.lhs) :]
             for w, v in rule.rhs.terms.items():
@@ -336,6 +340,8 @@ class RewriteSystem:
         divergences = []
         pairs = self.critical_pairs()
         for word, left, right in pairs:
+            if left.is_zero() and right.is_zero():  # resolved: most overlaps of zero products
+                continue
             forms = [self.normal_form(left), self.normal_form(right)]
             if forms[0] != forms[1]:
                 divergences.append((word, forms))

@@ -72,10 +72,6 @@ class GradingGroup:
     def neg(self, g: Degree) -> Degree:
         return tuple((-a) % n for a, n in zip(g, self.factors))
 
-    def generators(self):
-        for i in range(self.rank):
-            yield tuple(1 if j == i else 0 for j in range(self.rank))
-
     def elements(self):
         return product(*(range(n) for n in self.factors))
 

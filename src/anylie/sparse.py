@@ -30,7 +30,9 @@ class LinComb:
     """A sparse map key -> nonzero CycNum with the vector-space operations.
 
     `_context` names the slots, besides `terms`, that a result inherits
-    from its left operand; `_shape` is what two operands must share.
+    from its left operand; `_shape` is what two operands must share.  A
+    subclass with a product defines `__mul__` and `_unit_key`, the key of
+    its unit, and gets `**`.
     """
 
     __slots__ = ("terms",)
@@ -75,6 +77,19 @@ class LinComb:
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
+
+    def __pow__(self, k: int):
+        """Binary exponentiation, starting from the unit."""
+        if k < 0:
+            raise ValueError("negative powers are not defined")
+        result = self._raw({self._unit_key(): CycNum.one()})
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):

@@ -5,11 +5,42 @@ import cmath
 from fractions import Fraction
 from math import gcd
 
-from anylie.algebra import Element
-from anylie.anyspace import ThetaPoly
+from anylie.algebra import AlgebraSpec, Element, SpecFormatError
+from anylie.anyspace import ExprError, ThetaPoly
+from anylie.cli import _match_label
 from anylie.cyclotomic import CycNum, cyclotomic_polynomial, q_binomial, root_of_unity
 from anylie.envelope import NCPoly, RelationShapeError, RewriteSystem, Rule
 from anylie.sparse import accumulate, nonzero
+
+
+def word_less(rs: RewriteSystem, a, b) -> bool:
+    """a < b in the deg-lex word order of rs."""
+    return rs.word_key(a) < rs.word_key(b)
+
+
+def report_check(report, name: str):
+    """The check or info entry of an AxiomReport with the given name."""
+    for ch in report.checks + report.info:
+        if ch.name == name:
+            return ch
+    raise KeyError(name)
+
+
+def spec_label(spec, mu: int) -> str:
+    return spec.basis[mu]
+
+
+def spec_index_of(spec, label: str) -> int:
+    try:
+        return spec.basis.index(label)
+    except ValueError:
+        raise KeyError(f"no basis element named {label!r}")
+
+
+def group_generators(group):
+    """The unit vectors of a GradingGroup, one per factor."""
+    for i in range(group.rank):
+        yield tuple(1 if j == i else 0 for j in range(group.rank))
 
 
 def euler_phi(m: int) -> int:
@@ -294,3 +325,194 @@ def root_by_division(m: int, k: int) -> tuple:
     coeffs = [Fraction(0)] * (k + 1)
     coeffs[k] = Fraction(1)
     return _reduce_mod_phi(coeffs, m)
+
+
+# The two command-line parsers that `anylie.expr` replaced, unchanged:
+# the flat one behind `env --quotient` (it reads "x - + y" as x + y) and
+# the recursive one behind `anyspace expand`.  They are the reference for
+# tests/test_expr.py.
+
+def _parse_poly(spec: AlgebraSpec, text: str) -> NCPoly:
+    """Polynomial over basis labels with +, -, * and integer coefficients;
+    a digit starts an integer even where a label could match."""
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch in "+-*":
+            tokens.append(ch)
+            pos += 1
+            continue
+        if ch.isdigit():
+            j = pos
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", int(text[pos:j])))
+            pos = j
+            continue
+        hit = _match_label(spec, text, pos)
+        if hit is None:
+            raise SpecFormatError(f"cannot read polynomial at ...{text[pos:pos+12]!r}")
+        tokens.append(("gen", hit[0]))
+        pos += hit[1]
+    factor = [isinstance(tok, tuple) for tok in tokens] + [False]
+    for i, tok in enumerate(tokens):
+        if tok == "*" and not (i and factor[i - 1] and factor[i + 1]):
+            raise SpecFormatError(f"'*' needs a factor on each side in polynomial {text!r}")
+    if tokens and not factor[-2]:
+        raise SpecFormatError(f"polynomial ends in a dangling {tokens[-1]!r}: {text!r}")
+    terms = []
+    pending = 1
+    current = None
+
+    def flush():
+        nonlocal current, pending
+        if current is not None:
+            terms.append(current)
+        current = None
+        pending = 1
+
+    for tok in tokens:
+        if tok == "+":
+            flush()
+        elif tok == "-":
+            if current is None:
+                pending = -pending
+            else:
+                flush()
+                pending = -1
+        elif tok == "*":
+            continue
+        elif tok[0] == "int":
+            if current is None:
+                current = [pending, []]
+            current[0] *= tok[1]
+        else:
+            if current is None:
+                current = [pending, []]
+            current[1].append(tok[1])
+    flush()
+    poly = NCPoly.zero()
+    for coeff, word in terms:
+        poly = poly + NCPoly.word(tuple(word), coeff)
+    return poly
+
+
+def _tokenize(src: str):
+    tokens = []
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*^()":
+            tokens.append(ch)
+            i += 1
+            continue
+        if ch == "t":
+            j = i + 1
+            while j < len(src) and src[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise ExprError("variable needs a slot number, like t1")
+            tokens.append(("var", int(src[i + 1 : j])))
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(src) and src[j].isdigit():
+                j += 1
+            tokens.append(("int", int(src[i:j])))
+            i = j
+            continue
+        raise ExprError(f"unexpected character {ch!r} at position {i}")
+    return tokens
+
+
+def parse_theta_expr(src: str, n: int, vars: int = None) -> ThetaPoly:
+    """Parse an expression over +, -, *, integer powers and t1..tm.
+
+    If `vars` is omitted, the number of slots is the largest variable
+    index that appears (at least 1).
+    """
+    tokens = _tokenize(src)
+    if vars is None:
+        vars = max([t[1] for t in tokens if isinstance(t, tuple) and t[0] == "var"],
+                   default=1)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take(expected=None):
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ExprError("unexpected end of expression")
+        tok = tokens[pos]
+        if expected is not None and tok != expected:
+            raise ExprError(f"expected {expected!r}, found {tok!r}")
+        pos += 1
+        return tok
+
+    def parse_sum():
+        node = parse_product()
+        while peek() in ("+", "-"):
+            op = take()
+            right = parse_product()
+            node = node + right if op == "+" else node - right
+        return node
+
+    def parse_product():
+        node = parse_power()
+        while True:
+            nxt = peek()
+            if nxt == "*":
+                take()
+                node = node * parse_power()
+            elif nxt == "(" or (isinstance(nxt, tuple) and nxt[0] == "var"):
+                node = node * parse_power()  # juxtaposition
+            else:
+                return node
+
+    def parse_power():
+        base = parse_atom()
+        if peek() == "^":
+            take()
+            tok = take()
+            if not (isinstance(tok, tuple) and tok[0] == "int"):
+                raise ExprError("exponent must be a nonnegative integer")
+            return base ** tok[1]
+        return base
+
+    def parse_atom():
+        tok = peek()
+        if tok == "(":
+            take()
+            node = parse_sum()
+            take(")")
+            return node
+        if tok == "-":
+            take()
+            return -parse_atom()
+        if tok == "+":
+            take()
+            return parse_atom()
+        if isinstance(tok, tuple) and tok[0] == "var":
+            take()
+            slot = tok[1]
+            if not 1 <= slot <= vars:
+                raise ExprError(f"variable t{slot} outside 1..{vars}")
+            return ThetaPoly.theta(n, vars, slot)
+        if isinstance(tok, tuple) and tok[0] == "int":
+            take()
+            return ThetaPoly.one(n, vars).scaled(tok[1])
+        raise ExprError(f"unexpected token {tok!r}")
+
+    result = parse_sum()
+    if pos != len(tokens):
+        raise ExprError(f"trailing input from token {tokens[pos]!r}")
+    return result

@@ -177,7 +177,7 @@ def test_nf_generator_index_out_of_range_exits_2(l2f3_file, word, flags):
 
 
 @pytest.mark.parametrize("poly", ["x[1,1] -", "x[1,1] +", "x[1,1] *", "* x[1,1]",
-                                  "x[1,1] * * x[2,2]", "x[1,1] * - x[2,2]", "-"])
+                                  "x[1,1] * * x[2,2]", "-"])
 def test_quotient_dangling_operator_exits_2(l2f3_file, poly):
     proc = run_cli("env", l2f3_file, "--quotient", poly)
     assert proc.returncode == 2
@@ -194,6 +194,36 @@ def test_poly_parser_reads_well_formed_input(l2f3_file):
     assert cli._parse_poly(spec, "2 x[1,1] * 3 - -x[1,2]") == a.scaled(6) + b
     assert cli._parse_poly(spec, "x[1,1]x[2,2]") == a * d
     assert cli._parse_poly(spec, "") == NCPoly.zero()
+    # a sign after '*' negates the factor; it once read as "x[1,1] - x[2,2]"
+    assert cli._parse_poly(spec, "x[1,1] * - x[2,2]") == -(a * d)
+    assert cli._parse_poly(spec, "x[1,1]^2 - (x[2,1] + x[1,2])") == a * a - c - b
+
+
+def test_quotient_minus_then_plus_keeps_the_minus(tmp_path):
+    """The flat parser let a '+' reset a pending '-', so this quotient was
+    the one by x[1,1]*x[2,2] + x[2,1]*x[1,2].  At n=2 the two quotients
+    have different rules (at n=3 they coincide)."""
+    spec = str(tmp_path / "l2f2.json")
+    assert run_cli("make-matrix", "--N", "2", "--n", "2", "--f", "0,1", "-o", spec).returncode == 0
+    plain = run_cli("env", spec, "--json", "--quotient", "x[1,1]*x[2,2] - x[2,1]*x[1,2]")
+    signed = run_cli("env", spec, "--json", "--quotient", "x[1,1]*x[2,2] - + x[2,1]*x[1,2]")
+    assert plain.returncode == signed.returncode == 0
+    assert signed.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("word", ["x[1,3],x[2,1],x[2,3]", "x[1,3],x[2,3],x[2,1]"])
+def test_nf_refuses_a_system_that_is_not_confluent(tmp_path, word):
+    """Both words are 0 in the algebra, but the rules reduce only the
+    second to 0; nf used to print (1)*x[1,3]*x[2,1]*x[2,3] for the first."""
+    spec = tmp_path / "d3.json"
+    made = run_cli("make-matrix", "--N", "3", "--n", "3", "--f", "0,0,1", "-o", str(spec))
+    assert made.returncode == 0
+    proc = run_cli("nf", str(spec), word)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line == ("error: normal forms are not unique: "
+                    "the critical pair at x[1,3]*x[2,3]*x[2,1] diverges")
 
 
 def test_env_unverified_spec_needs_force(l2f3_file, tmp_path, capsys):

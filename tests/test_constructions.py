@@ -10,6 +10,7 @@ from anylie.envelope import build_rewrite_system, generate_relations
 from anylie.grading import Bicharacter, GradingGroup
 
 from conftest import ONE, SL2_C, SUPER_C, SUPER_P, classical_jacobi_holds, z
+from reference import spec_index_of, spec_label
 
 
 def test_one_dimensional_case():
@@ -65,8 +66,8 @@ def test_l3f_degree_matrix_and_brackets(l3f):
 def test_matrix_labels(l3f):
     assert l3f.basis[0] == "x[1,1]"
     assert l3f.basis[5] == "x[2,3]"
-    assert l3f.label(8) == "x[3,3]"
-    assert l3f.index_of("x[2,1]") == 3
+    assert spec_label(l3f, 8) == "x[3,3]"
+    assert spec_index_of(l3f, "x[2,1]") == 3
 
 
 def test_exhaustive_small_families():
