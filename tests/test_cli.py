@@ -186,6 +186,17 @@ def test_quotient_dangling_operator_exits_2(l2f3_file, poly):
     assert line.startswith("error: ") and repr(poly) in line
 
 
+def test_quotient_sign_after_star_negates_the_factor(l2f3_file):
+    """A sign right after '*' once exited 2 as a dangling operator, and
+    before that read "x * - y" as "x - y"; it negates the next factor."""
+    starred = run_cli("env", l2f3_file, "--json", "--quotient", "x[1,1] * - x[2,2]")
+    bracketed = run_cli("env", l2f3_file, "--json", "--quotient", "x[1,1]*(-x[2,2])")
+    misread = run_cli("env", l2f3_file, "--json", "--quotient", "x[1,1] - x[2,2]")
+    assert starred.returncode == bracketed.returncode == misread.returncode == 0
+    assert starred.stdout == bracketed.stdout
+    assert starred.stdout != misread.stdout
+
+
 def test_poly_parser_reads_well_formed_input(l2f3_file):
     spec = AlgebraSpec.from_json(open(l2f3_file).read())
     a, b, c, d = (NCPoly.word((g,)) for g in range(4))
