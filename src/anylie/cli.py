@@ -37,7 +37,7 @@ from .envelope import (CompletionError, NCPoly, UnverifiedSpecError,
                        build_rewrite_system, envelope_of, generate_relations,
                        quotient_by_central_grouplike)
 from .expr import ExprError, parse_expr
-from .grading import Bicharacter, GradingGroup
+from .grading import Bicharacter
 
 __all__ = ["main", "SearchSpace", "run_search"]
 
@@ -82,16 +82,13 @@ def _parse_degrees(text: str, rank: int):
 
 
 def _grading_from_flags(args) -> Bicharacter:
-    if args.group:
-        group = GradingGroup(tuple(_parse_int_list(args.group)))
-        if args.bichar:
-            rows = tuple(tuple(int(t) for t in row.replace(",", " ").split())
-                         for row in args.bichar.split(";"))
-            return Bicharacter(group, matrix=rows)
-        if group.rank != 1:
-            raise SpecFormatError("--group with rank > 1 needs --bichar")
-        return Bicharacter.anyonic(group.factors[0])
-    return Bicharacter.anyonic(args.n)
+    """The grading JSON that the flags spell, read by `Bicharacter.from_json`:
+    the group is --group, else Z/n from --n."""
+    rows = None
+    if args.bichar:
+        rows = [[int(t) for t in row.replace(",", " ").split()] for row in args.bichar.split(";")]
+    group = _parse_int_list(args.group) if args.group else [args.n]
+    return Bicharacter.from_json({"group": group, "bichar": rows})
 
 
 def _load_spec(path: str) -> AlgebraSpec:
@@ -435,7 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="anyonic grading modulus (default 1)")
         p.add_argument("--group", help="comma-separated group factors, e.g. 2,2")
         p.add_argument("--bicharacter", "--bichar", dest="bichar",
-                       help="integer matrix rows separated by ';', e.g. '1,0;0,1'")
+                       help="integer matrix rows separated by ';', e.g. '1,0;0,1'; "
+                            "without --group it applies to Z/n from --n")
 
     p = sub.add_parser("make-matrix", help="emit the matrix-family algebra")
     p.add_argument("--N", type=int, required=True)

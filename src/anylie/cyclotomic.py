@@ -261,11 +261,6 @@ class CycNum:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational number: %s" % self)
-        return self.coeffs[0]
-
     def __bool__(self):
         return not self.is_zero()
 

@@ -6,23 +6,31 @@ are carried by a bicharacter beta: G x G -> Q(zeta_E)*, E the group
 exponent.  The default "anyonic" case on Z/n is beta(a, b) = zeta_n^(a*b);
 the n = 2 instance is the fermionic sign, n = 1 is bosonic.
 
-Bicharacters are normally specified by an integer matrix B, so that
-beta(g, h) = zeta_E^(g.B.h); bimultiplicativity then holds by construction.
-A raw value table can be supplied instead for experimentation and is
-checked by `validate`.
+Every bicharacter is given by an integer matrix, so every phase is a
+power of zeta_E.  Factors, degree coordinates and matrix entries must be
+integers; a float, a string or None is refused with ValueError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import index
 
 from .cyclotomic import CycNum, root_of_unity
 
-__all__ = ["Degree", "GradingGroup", "Bicharacter", "ValidationReport"]
+__all__ = ["Degree", "GradingGroup", "Bicharacter"]
 
 Degree = tuple  # reduced integer tuple, one entry per group factor
+
+
+def _integers(values, what: str) -> tuple:
+    """`values` as a tuple of ints; floats, strings and None are refused."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -32,7 +40,7 @@ class GradingGroup:
     factors: tuple
 
     def __post_init__(self):
-        factors = tuple(int(n) for n in self.factors)
+        factors = _integers(self.factors, "group factors")
         if not factors or any(n < 1 for n in factors):
             raise ValueError("group factors must be positive integers")
         object.__setattr__(self, "factors", factors)
@@ -47,20 +55,18 @@ class GradingGroup:
 
     @property
     def size(self) -> int:
-        out = 1
-        for n in self.factors:
-            out *= n
-        return out
+        return prod(self.factors)
 
     def degree(self, coords) -> Degree:
         """Reduce coordinates into the group; accepts a bare int if rank 1."""
         if isinstance(coords, int):
             coords = (coords,)
-        coords = tuple(int(c) for c in coords)
+        try:
+            coords = tuple(map(index, coords))
+        except TypeError:
+            raise ValueError(f"degree coordinates must be integers, got {coords!r}") from None
         if len(coords) != self.rank:
-            raise ValueError(
-                f"degree arity {len(coords)} does not match group rank {self.rank}"
-            )
+            raise ValueError(f"degree arity {len(coords)} does not match group rank {self.rank}")
         return tuple(c % n for c, n in zip(coords, self.factors))
 
     def zero(self) -> Degree:
@@ -77,62 +83,31 @@ class GradingGroup:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    failures: tuple = ()
-
-    def __str__(self):
-        if self.passed:
-            return "bicharacter: pass"
-        lines = ["bicharacter: FAIL"]
-        lines += ["  " + f for f in self.failures]
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
 class Bicharacter:
-    """Braiding phase beta(g, h) on a grading group.
-
-    Backed either by an integer matrix or a raw table mapping degree pairs
-    to CycNum values.  The matrix entry (i, j) pairs the i-th and j-th
-    generators through the largest phase group they support:
+    """Braiding phase beta(g, h) on a grading group, given by an integer
+    matrix.  Entry (i, j) pairs the i-th and j-th generators through the
+    largest phase group they support:
 
         beta(e_i, e_j) = zeta_gcd(n_i, n_j) ** matrix[i][j]
 
     so every integer matrix yields a genuine bicharacter (entries act
-    modulo gcd(n_i, n_j)), and bimultiplicativity holds by construction.
+    modulo gcd(n_i, n_j)), and every bicharacter arises this way.
     """
 
     group: GradingGroup
-    matrix: tuple = None
-    table: dict = field(default=None, compare=False)
+    matrix: tuple
 
     def __post_init__(self):
-        if (self.matrix is None) == (self.table is None):
-            raise ValueError("specify exactly one of matrix, table")
-        if self.matrix is not None:
-            k = self.group.rank
-            rows = tuple(tuple(int(x) for x in row) for row in self.matrix)
-            if len(rows) != k or any(len(r) != k for r in rows):
-                raise ValueError("bicharacter matrix must be rank x rank")
-            object.__setattr__(self, "matrix", rows)
+        k = self.group.rank
+        rows = tuple(_integers(r, "bicharacter matrix entries") for r in self.matrix)
+        if len(rows) != k or any(len(r) != k for r in rows):
+            raise ValueError("bicharacter matrix must be rank x rank")
+        object.__setattr__(self, "matrix", rows)
 
     @classmethod
     def anyonic(cls, n: int) -> "Bicharacter":
         """beta(a, b) = zeta_n^(a*b) on Z/n."""
         return cls(GradingGroup((n,)), matrix=((1,),))
-
-    @classmethod
-    def trivial(cls, group: GradingGroup) -> "Bicharacter":
-        k = group.rank
-        return cls(group, matrix=tuple((0,) * k for _ in range(k)))
-
-    @classmethod
-    def from_table(cls, group: GradingGroup, table: dict) -> "Bicharacter":
-        fixed = {}
-        for (g, h), val in table.items():
-            fixed[(group.degree(g), group.degree(h))] = CycNum.promote(val)
-        return cls(group, table=fixed)
 
     def _exponent_in_e(self, g: Degree, h: Degree) -> int:
         """Total exponent of zeta_E accumulated by the matrix pairing.
@@ -156,56 +131,25 @@ class Bicharacter:
         """beta(g, h) as an exact root of unity of order dividing exponent."""
         g = self.group.degree(g)
         h = self.group.degree(h)
-        if self.table is not None:
-            try:
-                return self.table[(g, h)]
-            except KeyError:
-                raise ValueError(f"raw bicharacter table has no entry for {(g, h)}")
         return root_of_unity(self.group.exponent, self._exponent_in_e(g, h))
 
     def phase_power(self, g: Degree, h: Degree, exponent: int) -> CycNum:
-        """beta(g, h)**exponent without polynomial inversion when possible."""
-        if self.table is not None:
-            return self.phase(g, h) ** exponent
+        """beta(g, h)**exponent without polynomial inversion."""
         g = self.group.degree(g)
         h = self.group.degree(h)
         return root_of_unity(self.group.exponent, exponent * self._exponent_in_e(g, h))
 
-    def validate(self) -> ValidationReport:
-        """Check normalisation and bimultiplicativity over the whole group."""
-        failures = []
-        zero = self.group.zero()
-        elems = list(self.group.elements())
-        for g in elems:
-            if not self.phase(g, zero).is_one():
-                failures.append(f"beta({g},0) != 1")
-            if not self.phase(zero, g).is_one():
-                failures.append(f"beta(0,{g}) != 1")
-        for g in elems:
-            for g2 in elems:
-                for h in elems:
-                    left = self.phase(self.group.add(g, g2), h)
-                    if left != self.phase(g, h) * self.phase(g2, h):
-                        failures.append(f"beta not multiplicative in slot 1 at {(g, g2, h)}")
-                    left = self.phase(h, self.group.add(g, g2))
-                    if left != self.phase(h, g) * self.phase(h, g2):
-                        failures.append(f"beta not multiplicative in slot 2 at {(h, g, g2)}")
-        return ValidationReport(not failures, tuple(failures))
-
-    # -- serialisation -----------------------------------------------------
-
     def to_json(self) -> dict:
-        if self.table is not None:
-            raise ValueError("raw-table bicharacters are not serialisable")
         return {"group": list(self.group.factors), "bichar": [list(r) for r in self.matrix]}
 
     @classmethod
     def from_json(cls, data: dict) -> "Bicharacter":
+        """Read `{"group": [...], "bichar": [[...], ...] or omitted}`."""
         if "group" not in data:
             raise ValueError("grading JSON needs a 'group' entry")
-        group = GradingGroup(tuple(data["group"]))
-        if "bichar" in data and data["bichar"] is not None:
-            return cls(group, matrix=tuple(tuple(r) for r in data["bichar"]))
+        group = GradingGroup(data["group"])
+        if data.get("bichar") is not None:
+            return cls(group, data["bichar"])
         if group.rank != 1:
             raise ValueError("omitted bichar defaults to the anyonic one and needs rank 1")
         return cls.anyonic(group.factors[0])

@@ -43,6 +43,46 @@ def group_generators(group):
         yield tuple(1 if j == i else 0 for j in range(group.rank))
 
 
+# The raw-table bicharacter that the library's matrix-only Bicharacter
+# replaced, with its validation.  The table is filled generator pair by
+# generator pair, independently of the library's single exponent of
+# zeta_E; it is the oracle for tests/test_grading.py.
+
+def bicharacter_table(group, matrix) -> dict:
+    """{(g, h): beta(g, h)} with beta(g, h) the product over (i, j) of
+    zeta_gcd(n_i, n_j) ** (g_i * matrix[i][j] * h_j), across mixed orders."""
+    n = group.factors
+    table = {}
+    for g in group.elements():
+        for h in group.elements():
+            value = CycNum.one()
+            for i, gi in enumerate(g):
+                for j, hj in enumerate(h):
+                    value = value * root_of_unity(gcd(n[i], n[j]), gi * matrix[i][j] * hj)
+            table[(g, h)] = value
+    return table
+
+
+def table_failures(group, table):
+    """Yield a witness for each failure of normalisation or of
+    bimultiplicativity in either slot over the whole group; none when the
+    table is a bicharacter."""
+    zero = group.zero()
+    elems = list(group.elements())
+    for g in elems:
+        if not table[(g, zero)].is_one():
+            yield f"beta({g},0) != 1"
+        if not table[(zero, g)].is_one():
+            yield f"beta(0,{g}) != 1"
+    for g in elems:
+        for g2 in elems:
+            for h in elems:
+                if table[(group.add(g, g2), h)] != table[(g, h)] * table[(g2, h)]:
+                    yield f"beta not multiplicative in slot 1 at {(g, g2, h)}"
+                if table[(h, group.add(g, g2))] != table[(h, g)] * table[(h, g2)]:
+                    yield f"beta not multiplicative in slot 2 at {(h, g, g2)}"
+
+
 def euler_phi(m: int) -> int:
     assert m >= 1
     return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)

@@ -93,6 +93,50 @@ def test_make_matrix_rank2_group(tmp_path, capsys):
     assert spec.group.factors == (2, 2)
 
 
+def test_bichar_without_group_applies_to_z_n(tmp_path):
+    """--bichar used to be ignored unless --group was given."""
+    path = tmp_path / "b2.json"
+    proc = run_cli("make-matrix", "--N", "2", "--n", "3", "--bichar", "2",
+                   "--f", "0,1", "-o", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(path.read_text())["grading"] == {"group": [3], "bichar": [[2]]}
+    assert run_cli("verify", str(path)).returncode == 0
+
+
+def test_group_of_rank_two_without_bichar_exits_2():
+    proc = run_cli("make-matrix", "--N", "2", "--group", "2,2", "--f", "0 1;1 0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "rank 1" in line
+
+
+def test_verify_refuses_non_integer_grading(l2f3_file, tmp_path):
+    """Group factors and matrix entries used to be truncated by int(), so
+    this spec was read as Z/3 with matrix [[1]] and passed."""
+    data = json.loads(open(l2f3_file).read())
+    data["grading"] = {"group": [3.7], "bichar": [[1.9]]}
+    bad = tmp_path / "float_grading.json"
+    bad.write_text(json.dumps(data))
+    proc = run_cli("verify", str(bad))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "must be integers" in line
+
+
+@pytest.mark.parametrize("degree", [1.5, None])
+def test_make_ansatz_refuses_non_integer_degrees(tmp_path, degree):
+    """A float or null degree used to end in a TypeError traceback."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"dim": 1, "degrees": [degree], "c": []}))
+    proc = run_cli("make-ansatz", "--n", "3", "--g-file", str(gpath))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "must be integers" in line
+
+
 def test_make_ansatz(sl2_file):
     spec = AlgebraSpec.from_json(open(sl2_file).read())
     assert spec.basis == ("x0", "h", "e", "f")

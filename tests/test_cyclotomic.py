@@ -122,7 +122,7 @@ def test_q_binomial_product_formula_oracle():
 def test_q_binomial_at_one_is_binomial():
     for a in range(13):
         for k in range(a + 1):
-            assert q_binomial(a, k, CycNum.one()).as_rational() == math.comb(a, k)
+            assert q_binomial(a, k, CycNum.one()) == math.comb(a, k)
 
 
 def test_q_binomial_vanishing_at_roots():
@@ -166,8 +166,7 @@ def test_predicates_and_str():
     assert not CycNum.zero(5)
     assert CycNum.one(5).is_one()
     assert (2 - z(4) * z(4) - 1).is_rational()
-    with pytest.raises(ValueError):
-        z(5).as_rational()
+    assert not z(5).is_rational()
     assert str(CycNum.zero(7)) == "0"
     assert "z3" in str(z(3))
 

@@ -1,12 +1,13 @@
+import random
 from itertools import product
 
 import pytest
 
-from anylie.cyclotomic import CycNum, root_of_unity
+from anylie.cyclotomic import root_of_unity
 from anylie.grading import Bicharacter, GradingGroup
 
 from conftest import z
-from reference import group_generators
+from reference import bicharacter_table, group_generators, table_failures
 
 
 def test_group_arithmetic():
@@ -89,32 +90,37 @@ def is_skew_oracle(bi):
 def test_is_skew_examples():
     # the fermionic case is skew: (-1)(-1) = 1 on the generator pair
     assert is_skew_oracle(Bicharacter.anyonic(2)) is True
-    assert is_skew_oracle(Bicharacter.trivial(GradingGroup((4,)))) is True
+    assert is_skew_oracle(Bicharacter(GradingGroup((4,)), matrix=((0,),))) is True
     # z3^2 != 1, so the n=3 anyonic braiding is not skew
     assert is_skew_oracle(Bicharacter.anyonic(3)) is False
     assert is_skew_oracle(Bicharacter(GradingGroup((3, 3)), matrix=((0, 1), (-1, 0))))
     assert not is_skew_oracle(Bicharacter(GradingGroup((3, 3)), matrix=((0, 1), (1, 0))))
 
 
-def test_validate_matrix_backed():
-    assert Bicharacter.anyonic(5).validate().passed
-    assert Bicharacter.trivial(GradingGroup((2, 2))).validate().passed
+ORACLE_GROUPS = [(1,), (2,), (3,), (4,), (5,), (6,), (2, 2), (2, 3), (3, 3), (2, 4, 6)]
 
 
-def test_validate_raw_table():
-    n = 3
-    good = {((a,), (b,)): root_of_unity(n, a * b) for a in range(n) for b in range(n)}
-    bi = Bicharacter.from_table(GradingGroup((n,)), good)
-    assert bi.validate().passed
-    assert bi.phase((1,), (1,)) == z(3)
-
-    bad = dict(good)
-    bad[((1,), (1,))] = CycNum.one()  # corrupt one entry
-    bad_bi = Bicharacter.from_table(GradingGroup((n,)), bad)
-    report = bad_bi.validate()
-    assert not report.passed
-    assert report.failures  # carries a witness
-    assert "FAIL" in str(report)
+@pytest.mark.parametrize("factors", ORACLE_GROUPS,
+                         ids=lambda factors: "x".join(f"Z{n}" for n in factors))
+def test_phases_match_the_table_oracle(factors):
+    """Every phase and phase power of a matrix bicharacter equals the
+    generator-by-generator table; the table is a bicharacter, and one
+    corrupted entry is caught with a witness."""
+    group = GradingGroup(factors)
+    rng = random.Random(f"bichar-{factors}")
+    k = group.rank
+    for _ in range(3):
+        matrix = tuple(tuple(rng.randint(-7, 7) for _ in range(k)) for _ in range(k))
+        bi = Bicharacter(group, matrix)
+        table = bicharacter_table(group, matrix)
+        for (g, h), value in table.items():
+            assert bi.phase(g, h) == value, (matrix, g, h)
+            for e in (-2, -1, 0, 1, 3):
+                assert bi.phase_power(g, h, e) == value ** e, (matrix, g, h, e)
+    assert list(table_failures(group, table)) == []
+    g, h = rng.choice(list(table))
+    table[(g, h)] = -table[(g, h)]
+    assert next(table_failures(group, table), None) is not None
 
 
 def test_yang_baxter_for_diagonal_braiding():
@@ -133,10 +139,29 @@ def test_bicharacter_construction_errors():
     group = GradingGroup((2, 2))
     with pytest.raises(ValueError):
         Bicharacter(group, matrix=((1,),))
-    with pytest.raises(ValueError):
-        Bicharacter(group)
-    with pytest.raises(ValueError):
-        Bicharacter(group, matrix=((1, 0), (0, 1)), table={})
+    with pytest.raises(TypeError):
+        Bicharacter(group)  # the matrix is required
+
+
+NON_INTEGER_INPUT = {
+    "float factor": lambda: GradingGroup((3.7,)),
+    "string factor": lambda: GradingGroup(("3",)),
+    "null factor": lambda: GradingGroup((None,)),
+    "float coordinate": lambda: GradingGroup((2,)).degree((1.5,)),
+    "bare float degree": lambda: GradingGroup((2,)).degree(1.5),
+    "null degree": lambda: GradingGroup((2,)).degree(None),
+    "float entry": lambda: Bicharacter(GradingGroup((3,)), matrix=((1.9,),)),
+    "string entry": lambda: Bicharacter(GradingGroup((3,)), matrix=(("1",),)),
+    "float JSON": lambda: Bicharacter.from_json({"group": [3.7], "bichar": [[1.9]]}),
+}
+
+
+@pytest.mark.parametrize("build", NON_INTEGER_INPUT.values(), ids=NON_INTEGER_INPUT)
+def test_non_integer_grading_input_is_refused(build):
+    """Floats, strings and None used to be truncated by int() or to end in
+    a TypeError; each is now a ValueError."""
+    with pytest.raises(ValueError, match="must be integers"):
+        build()
 
 
 def test_json_round_trip_and_defaults():
@@ -148,7 +173,3 @@ def test_json_round_trip_and_defaults():
         Bicharacter.from_json({"group": [2, 2]})  # rank > 1 needs bichar
     with pytest.raises(ValueError):
         Bicharacter.from_json({})
-    raw = Bicharacter.from_table(GradingGroup((2,)), {((a,), (b,)): root_of_unity(2, a * b)
-                                                      for a in range(2) for b in range(2)})
-    with pytest.raises(ValueError):
-        raw.to_json()
