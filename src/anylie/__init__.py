@@ -12,8 +12,7 @@ from .algebra import (AlgebraSpec, AxiomReport, Element, SpecFormatError,
                       check_braided_jacobi, check_coalgebra, check_cocommutation,
                       check_delta_bracket, check_grading, coproduct, counit,
                       verify_all)
-from .constructions import (AnsatzParams, MatrixTypeParams, build_ansatz,
-                            build_matrix_type, check_ansatz_reduction)
+from .constructions import build_ansatz, build_matrix_type, check_ansatz_reduction
 from .cyclotomic import CycNum, cyclotomic_polynomial, q_binomial, q_integer, root_of_unity
 from .envelope import (CompletionError, NCPoly, QuadRelation, RelationShapeError,
                        RewriteSystem, TensorSquarePoly, UnverifiedSpecError,

@@ -29,8 +29,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .cyclotomic import CycNum
-from .grading import Bicharacter, Degree
+from .cyclotomic import CycNum, checked_integers
+from .grading import Bicharacter
 from .sparse import LinComb, accumulate, nonzero
 
 __all__ = [
@@ -120,12 +120,6 @@ class AlgebraSpec:
     def group(self):
         return self.bichar.group
 
-    def degree_of(self, mu: int) -> Degree:
-        return self.degrees[mu]
-
-    def phase(self, g: Degree, h: Degree) -> CycNum:
-        return self.bichar.phase(g, h)
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraSpec):
             return NotImplemented
@@ -162,12 +156,14 @@ class AlgebraSpec:
             bichar = Bicharacter.from_json(data["grading"])
             basis = [entry["name"] for entry in data["basis"]]
             degrees = [entry.get("degree", 0) for entry in data["basis"]]
-            degrees = [tuple(p) if isinstance(p, list) else p for p in degrees]
-            eps = {int(e["mu"]): CycNum.from_json(e["val"]) for e in data.get("eps", [])}
-            d = {(int(e["mu"]), int(e["nu"]), int(e["rho"])): CycNum.from_json(e["val"])
-                 for e in data.get("d", [])}
-            c = {(int(e["mu"]), int(e["nu"]), int(e["rho"])): CycNum.from_json(e["val"])
-                 for e in data.get("c", [])}
+            degrees = [checked_integers(p if isinstance(p, list) else (p,), "degree coordinates")
+                       for p in degrees]
+            eps = {checked_integers((e["mu"],), "basis indices")[0]: CycNum.from_json(e["val"])
+                   for e in data.get("eps", [])}
+            d = {checked_integers((e["mu"], e["nu"], e["rho"]), "basis indices"):
+                 CycNum.from_json(e["val"]) for e in data.get("d", [])}
+            c = {checked_integers((e["mu"], e["nu"], e["rho"]), "basis indices"):
+                 CycNum.from_json(e["val"]) for e in data.get("c", [])}
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecFormatError(f"bad algebra description: {exc}") from exc
         return cls(bichar, basis, degrees, eps, d, c)
@@ -386,7 +382,7 @@ def check_delta_bracket(spec: AlgebraSpec) -> AxiomReport:
                     c_ag = spec._c_by_pair.get((alpha, gamma))
                     if not c_ag:
                         continue
-                    ph = spec.phase(p[beta], p[gamma]) * dv1 * dv2
+                    ph = spec.bichar.phase(p[beta], p[gamma]) * dv1 * dv2
                     for (lam, cv1) in c_bd:
                         for (rho, cv2) in c_ag:
                             accumulate(rhs, (mu, nu, rho, lam), ph * cv1 * cv2)
@@ -413,7 +409,7 @@ def check_cocommutation(spec: AlgebraSpec) -> AxiomReport:
         crow = spec._c_by_first.get(alpha)
         if crow:
             for (nu, rho, cv) in crow:
-                ph = spec.bichar.phase_power(p[lam], p[nu], 2) * spec.phase(p[lam], p[alpha])
+                ph = spec.bichar.phase(p[lam], p[nu], 2) * spec.bichar.phase(p[lam], p[alpha])
                 accumulate(rhs, (mu, nu, rho, lam), ph * dv * cv)
     witnesses = _compare_sparse(lhs, rhs)
     notes = []
@@ -437,7 +433,7 @@ def check_braided_jacobi(spec: AlgebraSpec) -> AxiomReport:
             if not row_a or not row_b:
                 continue
             for (mu, gamma, cv1) in row_a:
-                ph = spec.phase(p[beta], p[mu]) * dv * cv1
+                ph = spec.bichar.phase(p[beta], p[mu]) * dv * cv1
                 for (nu, delta, cv2) in row_b:
                     c_gd = spec._c_by_pair.get((gamma, delta))
                     if not c_gd:
@@ -459,7 +455,7 @@ def check_antisymmetry_info(spec: AlgebraSpec) -> CheckResult:
     for (mu, nu, rho), cv in spec.c.items():
         lhs[(mu, nu, rho)] = cv
     for (nu, mu, rho), cv in spec.c.items():
-        rhs[(mu, nu, rho)] = -(spec.phase(p[mu], p[nu]) * cv)
+        rhs[(mu, nu, rho)] = -(spec.bichar.phase(p[mu], p[nu]) * cv)
     witnesses = _compare_sparse(lhs, rhs)
     return CheckResult("antisymmetry", not witnesses, witnesses)
 

@@ -11,11 +11,12 @@ Commands:
     anyspace     expand expressions on the braided line C[t]/t^n
     search       brute-force enumeration of low-dimensional algebras
 
-Exit codes: 0 success / checks pass, 1 semantic failure (axioms fail, a
-rewrite that exhausts its step budget, a quotient closure that does not
-close, nf on rules whose critical pairs do not all resolve), 2 input or
-usage errors.  All output is a pure function of files and flags;
-repeated runs are byte-identical.
+Exit codes: 0 success / checks pass, 1 semantic failure (axioms fail,
+also for a make-* result without --skip-check, a rewrite that exhausts
+its step budget, a quotient closure that does not close, nf on rules
+whose critical pairs do not all resolve), 2 input or usage errors.  All
+output is a pure function of files and flags; repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -24,15 +25,13 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .algebra import (AlgebraSpec, SpecFormatError, check_coalgebra,
                       grading_constraint, verify_all)
 from .anyspace import parse_theta_expr
-from .constructions import (AnsatzParams, MatrixTypeParams, build_ansatz,
-                            build_matrix_type)
-from .cyclotomic import CycNum, root_of_unity
+from .constructions import build_ansatz, build_matrix_type
+from .cyclotomic import CycNum, checked_integers, root_of_unity
 from .envelope import (CompletionError, NCPoly, UnverifiedSpecError,
                        build_rewrite_system, envelope_of, generate_relations,
                        quotient_by_central_grouplike)
@@ -51,8 +50,6 @@ def _loose_cyc(value, n: int = 1) -> CycNum:
     'z' denote the primitive n-th root of unity."""
     if isinstance(value, dict):
         return CycNum.from_json(value)
-    if isinstance(value, int):
-        return CycNum.promote(value)
     text = str(value).strip()
     neg = text.startswith("-")
     if neg:
@@ -62,7 +59,7 @@ def _loose_cyc(value, n: int = 1) -> CycNum:
     elif text.startswith("z^"):
         out = root_of_unity(n, int(text[2:]))
     else:
-        out = CycNum.from_rational(Fraction(text))
+        out = CycNum.from_rational(text)
     return -out if neg else out
 
 
@@ -141,30 +138,39 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _emit_built(spec: AlgebraSpec, args) -> int:
+    """Write a built spec; without --skip-check, one that fails
+    verification is refused and nothing is written."""
+    if not args.skip_check:
+        failed = [ch.name for ch in verify_all(spec).checks if not ch.passed]
+        if failed:
+            raise UnverifiedSpecError(f"the built algebra fails the {failed[0]} check; "
+                                      "--skip-check writes it unverified")
+    _emit(json.dumps(spec.to_json(), sort_keys=True), args.output)
+    return 0
+
+
 def cmd_make_matrix(args) -> int:
     bichar = _grading_from_flags(args)
     f = _parse_degrees(args.f, bichar.group.rank)
-    params = MatrixTypeParams(args.N, bichar, tuple(f))
-    spec = build_matrix_type(params, check=not args.skip_check)
-    _emit(json.dumps(spec.to_json(), sort_keys=True), args.output)
-    return 0
+    return _emit_built(build_matrix_type(args.N, bichar, f), args)
 
 
 def cmd_make_ansatz(args) -> int:
     with open(args.g_file) as handle:
         gdata = json.load(handle)
     bichar = _grading_from_flags(args)
-    dim = int(gdata["dim"])
+    (dim,) = checked_integers((gdata["dim"],), "dim")
     degrees = gdata.get("degrees", [0] * dim)
-    degrees = [tuple(p) if isinstance(p, list) else p for p in degrees]
+    degrees = [checked_integers(p if isinstance(p, list) else (p,), "degree coordinates")
+               for p in degrees]
     n_hint = bichar.group.exponent
-    c = {(int(e["i"]), int(e["j"]), int(e["k"])): _loose_cyc(e["val"], n_hint)
-         for e in gdata.get("c", [])}
-    names = gdata.get("names")
-    params = AnsatzParams(bichar, tuple(degrees), c, tuple(names) if names else None)
-    spec = build_ansatz(params, check=not args.skip_check)
-    _emit(json.dumps(spec.to_json(), sort_keys=True), args.output)
-    return 0
+    c = {}
+    for e in gdata.get("c", []):
+        key = checked_integers((e["i"], e["j"], e["k"]), "bracket constant indices")
+        c[key] = _loose_cyc(e["val"], n_hint)
+    spec = build_ansatz(bichar, degrees, c, gdata.get("names") or None)
+    return _emit_built(spec, args)
 
 
 def _order_from_flag(spec: AlgebraSpec, text):
@@ -442,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="grading function, e.g. 0,1,2 (';'-separated tuples for rank > 1)")
     p.add_argument("-o", "--output")
     p.add_argument("--skip-check", action="store_true",
-                   help="skip the verification assertion (batch speed)")
+                   help="write the algebra without verifying it (batch speed)")
     p.set_defaults(func=cmd_make_matrix)
 
     p = sub.add_parser("make-ansatz", help="emit the C + g ansatz algebra")
@@ -450,7 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-file", required=True,
                    help="JSON with dim, degrees, names and bracket constants c")
     p.add_argument("-o", "--output")
-    p.add_argument("--skip-check", action="store_true")
+    p.add_argument("--skip-check", action="store_true",
+                   help="write the algebra without verifying it")
     p.set_defaults(func=cmd_make_ansatz)
 
     p = sub.add_parser("env", help="enveloping relations and rewrite data")

@@ -9,63 +9,39 @@ Two constructions are provided:
   is grouplike and acts as identity, glued onto user-supplied bracket
   constants c[i,j,k] for g.
 
-Both return ordinary `AlgebraSpec` values, so everything downstream
-(verification, enveloping relations, rewriting) applies unchanged.
+Both take plain arguments, refuse malformed ones with ValueError, and
+return ordinary `AlgebraSpec` values, so everything downstream
+(verification, enveloping relations, rewriting) applies unchanged.  They
+do not verify what they build: a caller that needs a proof runs `verify_all`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .algebra import AlgebraSpec, CheckResult, Witness, verify_all
+from .algebra import AlgebraSpec, AxiomReport, CheckResult, Witness
 from .cyclotomic import CycNum
 from .grading import Bicharacter
 
 __all__ = [
-    "MatrixTypeParams",
-    "AnsatzParams",
     "build_matrix_type",
     "build_ansatz",
     "check_ansatz_reduction",
-    "AnsatzReductionReport",
 ]
 
 
-@dataclass(frozen=True)
-class MatrixTypeParams:
-    """Size N, grading bicharacter, and the grading function f (one degree
-    per row index, reduced in the group)."""
-
-    N: int
-    bichar: Bicharacter
-    f: tuple
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("matrix size N must be >= 1")
-        group = self.bichar.group
-        if len(self.f) != self.N:
-            raise ValueError("grading function needs one value per row index")
-        object.__setattr__(self, "f", tuple(group.degree(v) for v in self.f))
-
-    @classmethod
-    def anyonic(cls, N: int, n: int, f) -> "MatrixTypeParams":
-        return cls(N, Bicharacter.anyonic(n), tuple(f))
-
-
-def build_matrix_type(params: MatrixTypeParams, check: bool = True) -> AlgebraSpec:
-    """The N^2-dimensional matrix-form algebra for a grading function f.
+def build_matrix_type(N: int, bichar: Bicharacter, f) -> AlgebraSpec:
+    """The N^2-dimensional matrix-form algebra for a grading function f
+    (one degree per row index, reduced in the group).
 
     Basis x[m,mdot] (1-based labels, row-major indices), degrees
     p(m,mdot) = f(m) - f(mdot), matrix coalgebra, counit = delta, and the
     diagonal-supported bracket with coefficient beta(f(m), p(nu))^-2.
-    With `check` the construction is verified before being returned; the
-    flag exists so batch enumerations can skip the re-proof.
     """
-    N = params.N
-    bi = params.bichar
-    group = bi.group
-    f = params.f
+    if N < 1:
+        raise ValueError("matrix size N must be >= 1")
+    group = bichar.group
+    f = tuple(group.degree(v) for v in f)
+    if len(f) != N:
+        raise ValueError("grading function needs one value per row index")
 
     def idx(m, mdot):  # 0-based row-major position of x[m+1, mdot+1]
         return m * N + mdot
@@ -91,136 +67,75 @@ def build_matrix_type(params: MatrixTypeParams, check: bool = True) -> AlgebraSp
         for r in range(N):
             for rdot in range(N):
                 nu = idx(r, rdot)
-                coeff = bi.phase_power(f[m], degrees[nu], -2)
-                c[(mu, nu, nu)] = coeff
+                c[(mu, nu, nu)] = bichar.phase(f[m], degrees[nu], -2)
 
-    spec = AlgebraSpec(bi, basis, degrees, eps, d, c)
-    if check:
-        report = verify_all(spec)
-        assert report.passed, f"matrix-type construction failed to verify:\n{report}"
-    return spec
+    return AlgebraSpec(bichar, basis, degrees, eps, d, c)
 
 
-@dataclass(frozen=True)
-class AnsatzParams:
-    """A bosonic grouplike x0 adjoined to bracket constants for g.
-
-    `p` are the degrees of the g-generators x^1..x^dim, `c` maps 1-based
-    triples (i, j, k) to the coefficient of x^k in [x^i, x^j].
-    """
-
-    bichar: Bicharacter
-    p: tuple
-    c: dict = field(compare=False)
-    names: tuple = None
-
-    def __post_init__(self):
-        group = self.bichar.group
-        object.__setattr__(self, "p", tuple(group.degree(v) for v in self.p))
-        dim = len(self.p)
-        fixed = {}
-        for (i, j, k), val in dict(self.c).items():
-            if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
-                raise ValueError(f"bracket constant index {(i, j, k)} out of range")
-            val = CycNum.promote(val) if not isinstance(val, CycNum) else val
-            if not val.is_zero():
-                fixed[(i, j, k)] = val
-        object.__setattr__(self, "c", fixed)
-        if self.names is not None:
-            if len(self.names) != dim:
-                raise ValueError("one name per g-generator required")
-            object.__setattr__(self, "names", tuple(str(s) for s in self.names))
-
-    @property
-    def g_dim(self) -> int:
-        return len(self.p)
-
-    @classmethod
-    def anyonic(cls, n: int, p, c, names=None) -> "AnsatzParams":
-        return cls(Bicharacter.anyonic(n), tuple(p), c, names)
+def _ansatz_data(bichar: Bicharacter, degrees, c):
+    """The g-degrees reduced in the group, and the nonzero bracket
+    constants as CycNums keyed by 1-based triples (i, j, k) within dim g."""
+    group = bichar.group
+    p = tuple(group.degree(v) for v in degrees)
+    dim = len(p)
+    fixed = {}
+    for (i, j, k), val in dict(c).items():
+        if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
+            raise ValueError(f"bracket constant index {(i, j, k)} out of range")
+        val = CycNum.promote(val)
+        if not val.is_zero():
+            fixed[(i, j, k)] = val
+    return p, fixed
 
 
-def build_ansatz(params: AnsatzParams, check: bool = False) -> AlgebraSpec:
-    """The (1 + dim g)-dimensional ansatz spec embedding the given c."""
-    bi = params.bichar
-    group = bi.group
-    g_dim = params.g_dim
-    names = params.names or tuple(f"x{i}" for i in range(1, g_dim + 1))
-    basis = ("x0",) + names
-    degrees = (group.zero(),) + params.p
+def build_ansatz(bichar: Bicharacter, degrees, c, names=None) -> AlgebraSpec:
+    """The (1 + dim g)-dimensional ansatz spec: a bosonic grouplike x0
+    adjoined to g.  `degrees` are those of the g-generators x^1..x^dim, `c`
+    maps 1-based triples (i, j, k) to the coefficient of x^k in [x^i, x^j],
+    and `names` (default x1, x2, ...) labels the g-generators."""
+    p, gc = _ansatz_data(bichar, degrees, c)
+    g_dim = len(p)
+    if names is None:
+        names = tuple(f"x{i}" for i in range(1, g_dim + 1))
+    elif len(names) != g_dim:
+        raise ValueError("one name per g-generator required")
+    basis = ("x0",) + tuple(names)
+    degrees = (bichar.group.zero(),) + p
 
     one = CycNum.one()
     eps = {0: one}
     d = {(0, 0, 0): one}
-    c = {(0, 0, 0): one}
+    full_c = {(0, 0, 0): one}
     for i in range(1, g_dim + 1):
         d[(i, 0, i)] = one
         d[(i, i, 0)] = one
-        c[(0, i, i)] = one
-    for (i, j, k), val in params.c.items():
-        c[(i, j, k)] = val
-
-    spec = AlgebraSpec(bi, basis, degrees, eps, d, c)
-    if check:
-        report = verify_all(spec)
-        assert report.passed, f"ansatz construction failed to verify:\n{report}"
-    return spec
+        full_c[(0, i, i)] = one
+    full_c.update(gc)
+    return AlgebraSpec(bichar, basis, degrees, eps, d, full_c)
 
 
-@dataclass
-class AnsatzReductionReport:
-    """Outcome of the reduced ansatz conditions next to full verification.
+def check_ansatz_reduction(bichar: Bicharacter, degrees, c) -> AxiomReport:
+    """The reduced conditions for the ansatz, evaluated on g alone.
 
-    `phase_condition` is beta(p(i), p(j))^2 = 1 over all g-pairs;
-    `jacobi_condition` is the phase-decorated Jacobi identity on the c of
-    g alone; `homogeneous` records that c respects degrees, which the full
-    verifier also demands but the two reduced conditions cannot see.
+    `ansatz_phase_condition` is beta(p(i), p(j))^2 = 1 over all g-pairs;
+    `ansatz_jacobi_condition` is the phase-decorated Jacobi identity on the
+    c of g; `ansatz_c_homogeneous` records that c respects degrees, which
+    full verification also demands but the two reduced conditions cannot
+    see.  The report passes exactly when `verify_all` passes on
+    `build_ansatz(bichar, degrees, c)`, which the tests confirm.
     """
-
-    phase_condition: CheckResult
-    jacobi_condition: CheckResult
-    homogeneous: CheckResult
-    verify_passed: bool
-
-    @property
-    def reduced_passed(self) -> bool:
-        return (self.phase_condition.passed and self.jacobi_condition.passed
-                and self.homogeneous.passed)
-
-    @property
-    def agrees(self) -> bool:
-        return self.reduced_passed == self.verify_passed
-
-    def __str__(self):
-        lines = [str(self.phase_condition), str(self.jacobi_condition),
-                 str(self.homogeneous),
-                 f"full verification: {'pass' if self.verify_passed else 'FAIL'}",
-                 f"agreement: {'yes' if self.agrees else 'NO'}"]
-        return "\n".join(lines)
-
-
-def check_ansatz_reduction(params: AnsatzParams) -> AnsatzReductionReport:
-    """Evaluate the two reduced conditions for the ansatz directly and
-    compare against full verification of the built spec.
-
-    The equivalence is confirmed, not assumed: the report carries both
-    verdicts.  Degree-compatibility of c is listed as its own line since
-    the reduced conditions are blind to it.
-    """
-    bi = params.bichar
-    group = bi.group
-    p = (None,) + params.p  # 1-based
-    g = params.g_dim
+    group = bichar.group
+    p, c = _ansatz_data(bichar, degrees, c)
+    g = len(p)
+    p = (None,) + p  # 1-based
     zero = CycNum.zero()
 
     phase_w = []
     for i in range(1, g + 1):
         for j in range(1, g + 1):
-            ph = bi.phase(p[i], p[j]) ** 2
+            ph = bichar.phase(p[i], p[j]) ** 2
             if not ph.is_one():
                 phase_w.append(Witness((i, j), ph, CycNum.one()))
-
-    c = params.c
 
     jacobi_w = []
     for i in range(1, g + 1):
@@ -239,7 +154,7 @@ def check_ansatz_reduction(params: AnsatzParams) -> AnsatzReductionReport:
                         v2 = c.get((a, j, l))
                         if v1 is not None and v2 is not None:
                             rhs = rhs + v1 * v2
-                    ph = bi.phase(p[k], p[i])
+                    ph = bichar.phase(p[k], p[i])
                     for a in range(1, g + 1):
                         v1 = c.get((k, j, a))
                         v2 = c.get((i, a, l))
@@ -254,11 +169,8 @@ def check_ansatz_reduction(params: AnsatzParams) -> AnsatzReductionReport:
         if p[k] != want:
             homog_w.append(Witness((i, j, k), p[k], want, "c entry breaks degrees"))
 
-    spec = build_ansatz(params, check=False)
-    report = verify_all(spec)
-    return AnsatzReductionReport(
+    return AxiomReport([
         CheckResult("ansatz_phase_condition", not phase_w, phase_w),
         CheckResult("ansatz_jacobi_condition", not jacobi_w, jacobi_w),
         CheckResult("ansatz_c_homogeneous", not homog_w, homog_w),
-        report.passed,
-    )
+    ])

@@ -21,6 +21,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import index
 
 __all__ = [
     "CycNum",
@@ -31,6 +32,26 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)  # shared as padding; Fractions are immutable
+
+
+def checked_integers(values, what: str) -> tuple:
+    """`values` read from outside the program as a tuple of ints; floats,
+    strings, None and bools (which `operator.index` passes) are refused."""
+    try:
+        items = tuple(values)
+        if not any(isinstance(v, bool) for v in items):
+            return tuple(map(index, items))
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be integers, got {values!r}")
+
+
+def _rational(value) -> Fraction:
+    """`Fraction(value)`, with a zero denominator from outside as ValueError."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
@@ -140,7 +161,7 @@ class CycNum:
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CycNum":
-        return cls(order, (Fraction(value),))
+        return cls(order, (_rational(value),))
 
     @staticmethod
     def promote(value) -> "CycNum":
@@ -288,15 +309,15 @@ class CycNum:
             data = json.loads(data)
         if not isinstance(data, dict) or "order" not in data:
             raise ValueError("CycNum JSON must be {'order': m, 'terms': [[k, 'p/q'], ...]}")
-        order = int(data["order"])
+        (order,) = checked_integers((data["order"],), "CycNum order")
         if order < 1:
             raise ValueError("cyclotomic order must be >= 1")
         coeffs = [Fraction(0)] * order
         for k, val in data.get("terms", ()):
-            k = int(k)
+            (k,) = checked_integers((k,), "exponents in CycNum JSON")
             if k < 0:
                 raise ValueError("exponents in CycNum JSON must be >= 0")
-            coeffs[k % order] += Fraction(str(val))
+            coeffs[k % order] += _rational(str(val))
         return cls(order, coeffs)
 
     def __str__(self):

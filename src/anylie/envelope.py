@@ -160,7 +160,7 @@ def generate_relations(spec: AlgebraSpec, force: bool = False):
                 crow = spec._c_by_pair.get((alpha, nu))
                 if not crow:
                     continue
-                ph = spec.phase(p[beta], p[nu]) * dv
+                ph = spec.bichar.phase(p[beta], p[nu]) * dv
                 for (gamma, cv) in crow:
                     accumulate(rhs, (gamma, beta), ph * cv)
             relations.append(QuadRelation((mu, nu), nonzero(rhs)))
@@ -472,7 +472,7 @@ class TensorSquarePoly(LinComb):
         group = self.spec.group
         total = group.zero()
         for g in word:
-            total = group.add(total, self.spec.degree_of(g))
+            total = group.add(total, self.spec.degrees[g])
         return total
 
     def __mul__(self, other):

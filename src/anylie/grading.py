@@ -8,7 +8,8 @@ the n = 2 instance is the fermionic sign, n = 1 is bosonic.
 
 Every bicharacter is given by an integer matrix, so every phase is a
 power of zeta_E.  Factors, degree coordinates and matrix entries must be
-integers; a float, a string or None is refused with ValueError.
+integers: a float, a string, None or a bool is refused with ValueError (a
+bool degree by the spec readers, which keeps that check out of `phase`).
 """
 
 from __future__ import annotations
@@ -18,19 +19,11 @@ from itertools import product
 from math import gcd, lcm, prod
 from operator import index
 
-from .cyclotomic import CycNum, root_of_unity
+from .cyclotomic import CycNum, checked_integers, root_of_unity
 
 __all__ = ["Degree", "GradingGroup", "Bicharacter"]
 
 Degree = tuple  # reduced integer tuple, one entry per group factor
-
-
-def _integers(values, what: str) -> tuple:
-    """`values` as a tuple of ints; floats, strings and None are refused."""
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -40,7 +33,7 @@ class GradingGroup:
     factors: tuple
 
     def __post_init__(self):
-        factors = _integers(self.factors, "group factors")
+        factors = checked_integers(self.factors, "group factors")
         if not factors or any(n < 1 for n in factors):
             raise ValueError("group factors must be positive integers")
         object.__setattr__(self, "factors", factors)
@@ -99,7 +92,7 @@ class Bicharacter:
 
     def __post_init__(self):
         k = self.group.rank
-        rows = tuple(_integers(r, "bicharacter matrix entries") for r in self.matrix)
+        rows = tuple(checked_integers(r, "bicharacter matrix entries") for r in self.matrix)
         if len(rows) != k or any(len(r) != k for r in rows):
             raise ValueError("bicharacter matrix must be rank x rank")
         object.__setattr__(self, "matrix", rows)
@@ -109,13 +102,16 @@ class Bicharacter:
         """beta(a, b) = zeta_n^(a*b) on Z/n."""
         return cls(GradingGroup((n,)), matrix=((1,),))
 
-    def _exponent_in_e(self, g: Degree, h: Degree) -> int:
-        """Total exponent of zeta_E accumulated by the matrix pairing.
+    def phase(self, g: Degree, h: Degree, power: int = 1) -> CycNum:
+        """beta(g, h)**power as an exact root of unity of order dividing the
+        exponent E; a negative power needs no polynomial inversion.
 
         Entry (i, j) contributes through zeta_gcd(n_i, n_j), i.e. with
         weight E // gcd(n_i, n_j); this makes the phase independent of the
         chosen degree representatives.
         """
+        g = self.group.degree(g)
+        h = self.group.degree(h)
         factors = self.group.factors
         e = self.group.exponent
         acc = 0
@@ -125,19 +121,7 @@ class Bicharacter:
                     if hj:
                         weight = e // gcd(factors[i], factors[j])
                         acc += gi * self.matrix[i][j] * hj * weight
-        return acc
-
-    def phase(self, g: Degree, h: Degree) -> CycNum:
-        """beta(g, h) as an exact root of unity of order dividing exponent."""
-        g = self.group.degree(g)
-        h = self.group.degree(h)
-        return root_of_unity(self.group.exponent, self._exponent_in_e(g, h))
-
-    def phase_power(self, g: Degree, h: Degree, exponent: int) -> CycNum:
-        """beta(g, h)**exponent without polynomial inversion."""
-        g = self.group.degree(g)
-        h = self.group.degree(h)
-        return root_of_unity(self.group.exponent, exponent * self._exponent_in_e(g, h))
+        return root_of_unity(e, power * acc)
 
     def to_json(self) -> dict:
         return {"group": list(self.group.factors), "bichar": [list(r) for r in self.matrix]}

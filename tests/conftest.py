@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from anylie.constructions import AnsatzParams, MatrixTypeParams, build_ansatz, build_matrix_type
+from anylie.constructions import build_ansatz, build_matrix_type
 from anylie.cyclotomic import CycNum, root_of_unity
 from anylie.envelope import build_rewrite_system, generate_relations
+from anylie.grading import Bicharacter
 
 
 def z(m, k=1):
@@ -29,31 +30,31 @@ SUPER_P = (0, 1)
 @pytest.fixture(scope="session")
 def l2f3():
     """Matrix family N=2 over Z/3 with f=(0,1): generators a,b,c,d."""
-    return build_matrix_type(MatrixTypeParams.anyonic(2, 3, (0, 1)))
+    return build_matrix_type(2, Bicharacter.anyonic(3), (0, 1))
 
 
 @pytest.fixture(scope="session")
 def l2f2():
     """Matrix family N=2 over Z/2 with f=(0,1): the super case."""
-    return build_matrix_type(MatrixTypeParams.anyonic(2, 2, (0, 1)))
+    return build_matrix_type(2, Bicharacter.anyonic(2), (0, 1))
 
 
 @pytest.fixture(scope="session")
 def l3f():
     """Matrix family N=3 over Z/3 with f=(0,1,2)."""
-    return build_matrix_type(MatrixTypeParams.anyonic(3, 3, (0, 1, 2)))
+    return build_matrix_type(3, Bicharacter.anyonic(3), (0, 1, 2))
 
 
 @pytest.fixture(scope="session")
 def sl2_ansatz():
     return build_ansatz(
-        AnsatzParams.anyonic(1, (0, 0, 0), SL2_C, names=("h", "e", "f")), check=True)
+        Bicharacter.anyonic(1), (0, 0, 0), SL2_C, names=("h", "e", "f"))
 
 
 @pytest.fixture(scope="session")
 def super_ansatz():
     return build_ansatz(
-        AnsatzParams.anyonic(2, SUPER_P, SUPER_C, names=("h", "q")), check=True)
+        Bicharacter.anyonic(2), SUPER_P, SUPER_C, names=("h", "q"))
 
 
 def rewrite_system_for(spec, order=None):

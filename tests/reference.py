@@ -120,7 +120,7 @@ def antipode_recursive(p: ThetaPoly) -> ThetaPoly:
 
 def homogeneous_degree(el: Element, spec):
     """The common degree of the support, or None for mixed/zero."""
-    degs = {spec.degree_of(mu) for mu in el.terms}
+    degs = {spec.degrees[mu] for mu in el.terms}
     return degs.pop() if len(degs) == 1 else None
 
 

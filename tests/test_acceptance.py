@@ -12,8 +12,7 @@ from itertools import product
 from anylie.algebra import AlgebraSpec, verify_all
 from anylie.anyspace import ThetaPoly, antipode, coproduct as theta_coproduct
 from anylie.cli import SearchSpace, run_search
-from anylie.constructions import (AnsatzParams, MatrixTypeParams, build_ansatz,
-                                  build_matrix_type, check_ansatz_reduction)
+from anylie.constructions import build_ansatz, build_matrix_type, check_ansatz_reduction
 from anylie.cyclotomic import CycNum, q_binomial, root_of_unity
 from anylie.envelope import (NCPoly, TensorSquarePoly, build_rewrite_system,
                              delta_on_products, generate_relations,
@@ -43,11 +42,11 @@ def _example_systems():
     """Every example algebra with its rewrite system."""
     out = []
     for spec in (
-        build_matrix_type(MatrixTypeParams.anyonic(2, 3, (0, 1)), check=False),
-        build_matrix_type(MatrixTypeParams.anyonic(2, 2, (0, 1)), check=False),
-        build_matrix_type(MatrixTypeParams.anyonic(3, 3, (0, 1, 2)), check=False),
-        build_ansatz(AnsatzParams.anyonic(1, (0, 0, 0), SL2_C, names=("h", "e", "f"))),
-        build_ansatz(AnsatzParams.anyonic(2, SUPER_P, SUPER_C, names=("h", "q"))),
+        build_matrix_type(2, Bicharacter.anyonic(3), (0, 1)),
+        build_matrix_type(2, Bicharacter.anyonic(2), (0, 1)),
+        build_matrix_type(3, Bicharacter.anyonic(3), (0, 1, 2)),
+        build_ansatz(Bicharacter.anyonic(1), (0, 0, 0), SL2_C, names=("h", "e", "f")),
+        build_ansatz(Bicharacter.anyonic(2), SUPER_P, SUPER_C, names=("h", "q")),
     ):
         rs = build_rewrite_system(generate_relations(spec, force=True),
                                   spec.dim, labels=spec.basis)
@@ -62,8 +61,7 @@ def test_criterion_01_matrix_family_exhaustive():
         for N in (1, 2, 3):
             for n in range(1, 7):
                 for f in product(range(n), repeat=N):
-                    spec = build_matrix_type(MatrixTypeParams.anyonic(N, n, f),
-                                             check=False)
+                    spec = build_matrix_type(N, Bicharacter.anyonic(n), f)
                     report = verify_all(spec)
                     assert report.passed, (N, n, f, str(report))
                     count += 1
@@ -74,7 +72,7 @@ def test_criterion_01_matrix_family_exhaustive():
 
 def test_criterion_02_z3_example_relations(tmp_path, capsys):
     with _criterion(2, "L_{2,f} at n=3 derives the six zero products and cb = z3*bc"):
-        spec = build_matrix_type(MatrixTypeParams.anyonic(2, 3, (0, 1)))
+        spec = build_matrix_type(2, Bicharacter.anyonic(3), (0, 1))
         a, b, c, d = range(4)
         rs = build_rewrite_system(generate_relations(spec), 4, labels=spec.basis)
         assert rs.zero_pairs == {(b, d), (d, b), (c, d), (d, c)}
@@ -98,7 +96,7 @@ def test_criterion_02_z3_example_relations(tmp_path, capsys):
 
 def test_criterion_03_super_example_m11():
     with _criterion(3, "U(L_{2,f}) at n=2 is the super-matrix algebra M_{1|1}"):
-        spec = build_matrix_type(MatrixTypeParams.anyonic(2, 2, (0, 1)))
+        spec = build_matrix_type(2, Bicharacter.anyonic(2), (0, 1))
         a, b, c, d = range(4)
         rs = build_rewrite_system(generate_relations(spec), 4, labels=spec.basis)
         for x in range(4):
@@ -113,7 +111,7 @@ def test_criterion_03_super_example_m11():
 
 def test_criterion_04_l3f_relations():
     with _criterion(4, "L_{3,f} quasi-commutation phases and zero products"):
-        spec = build_matrix_type(MatrixTypeParams.anyonic(3, 3, (0, 1, 2)))
+        spec = build_matrix_type(3, Bicharacter.anyonic(3), (0, 1, 2))
         aa, bm, bp, cp, dp, em, cm, ep, dm = range(9)
         rs = build_rewrite_system(generate_relations(spec), 9, labels=spec.basis)
         # b+-c+- = z3 c+-b+- and b+-c-+ = z3^-1 c-+b+-
@@ -143,7 +141,7 @@ def test_criterion_04_l3f_relations():
 
 def test_criterion_05_grouplike_central_quotient():
     with _criterion(5, "ad-cb is grouplike and central; quotient gives b=c=0, ad=1"):
-        spec = build_matrix_type(MatrixTypeParams.anyonic(2, 3, (0, 1)))
+        spec = build_matrix_type(2, Bicharacter.anyonic(3), (0, 1))
         a, b, c, d = range(4)
         rs = build_rewrite_system(generate_relations(spec), 4, labels=spec.basis)
         det = NCPoly({(a, d): ONE, (c, b): -ONE})
@@ -218,15 +216,15 @@ def test_criterion_08_ansatz_equivalence():
     with _criterion(8, "reduced ansatz conditions agree with full verification"):
         rng = random.Random(41)
         cases = [
-            AnsatzParams.anyonic(1, (0, 0, 0), SL2_C),
-            AnsatzParams.anyonic(2, SUPER_P, SUPER_C),
+            (Bicharacter.anyonic(1), (0, 0, 0), SL2_C),
+            (Bicharacter.anyonic(2), SUPER_P, SUPER_C),
         ]
         # constructed failures: broken Jacobi, broken phase condition
         bad_jacobi = dict(SL2_C)
         bad_jacobi[(1, 2, 1)] = 1
-        cases.append(AnsatzParams.anyonic(1, (0, 0, 0), bad_jacobi))
-        cases.append(AnsatzParams.anyonic(3, (1, 1), {(1, 2, 1): 1}))
-        cases.append(AnsatzParams.anyonic(3, (1,), {}))
+        cases.append((Bicharacter.anyonic(1), (0, 0, 0), bad_jacobi))
+        cases.append((Bicharacter.anyonic(3), (1, 1), {(1, 2, 1): 1}))
+        cases.append((Bicharacter.anyonic(3), (1,), {}))
         # randomized parameter sets around sl2 and the super pair
         for _ in range(20):
             n = rng.choice([1, 2])
@@ -234,7 +232,7 @@ def test_criterion_08_ansatz_equivalence():
                 c = dict(SL2_C)
                 key = rng.choice(list(c))
                 c[key] = c[key] + rng.choice([0, 1, -1])
-                cases.append(AnsatzParams.anyonic(1, (0, 0, 0), c))
+                cases.append((Bicharacter.anyonic(1), (0, 0, 0), c))
             else:
                 c = dict(SUPER_C)
                 if rng.random() < 0.5:
@@ -242,16 +240,17 @@ def test_criterion_08_ansatz_equivalence():
                 if rng.random() < 0.5:
                     c[(1, 2, 2)] = rng.choice([1, -1])
                     c[(2, 1, 2)] = rng.choice([1, -1])
-                cases.append(AnsatzParams.anyonic(2, SUPER_P, c))
+                cases.append((Bicharacter.anyonic(2), SUPER_P, c))
         agreements = 0
-        for params in cases:
-            report = check_ansatz_reduction(params)
-            assert report.agrees, (params.p, params.c, str(report))
+        for bichar, p, c in cases:
+            report = check_ansatz_reduction(bichar, p, c)
+            full = verify_all(build_ansatz(bichar, p, c))
+            assert report.passed == full.passed, (p, c, str(report), str(full))
             agreements += 1
         assert agreements == len(cases)
         # and the two flagship cases verify positively
-        assert check_ansatz_reduction(cases[0]).verify_passed
-        assert check_ansatz_reduction(cases[1]).verify_passed
+        assert check_ansatz_reduction(*cases[0]).passed
+        assert check_ansatz_reduction(*cases[1]).passed
 
 
 def test_criterion_09_property_suites():

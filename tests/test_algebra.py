@@ -7,7 +7,7 @@ from anylie.algebra import (AlgebraSpec, Element, SpecFormatError, bracket,
                             check_coalgebra, check_cocommutation,
                             check_delta_bracket, check_grading, coproduct,
                             counit, verify_all)
-from anylie.constructions import AnsatzParams, build_ansatz
+from anylie.constructions import build_ansatz
 from anylie.cyclotomic import CycNum
 from anylie.grading import Bicharacter
 
@@ -104,7 +104,7 @@ def brute_force_delta_bracket(spec):
                                     c2 = spec.c.get((alpha, gamma, rho))
                                     if c1 is None or c2 is None:
                                         continue
-                                    ph = spec.phase(p[beta], p[gamma])
+                                    ph = spec.bichar.phase(p[beta], p[gamma])
                                     rhs = rhs + ph * d1 * d2 * c1 * c2
                     if lhs != rhs:
                         return False
@@ -122,7 +122,7 @@ def test_delta_bracket_blind_to_jacobi():
     the axioms are independent."""
     bad_c = dict(SL2_C)
     bad_c[(1, 2, 1)] = 1  # breaks Jacobi
-    spec = build_ansatz(AnsatzParams.anyonic(1, (0, 0, 0), bad_c), check=False)
+    spec = build_ansatz(Bicharacter.anyonic(1), (0, 0, 0), bad_c)
     assert check_delta_bracket(spec).passed
     assert brute_force_delta_bracket(spec)
     assert not check_braided_jacobi(spec).passed
@@ -135,13 +135,13 @@ def test_cocommutation_on_families(l2f2, l2f3):
 
 def test_cocommutation_detects_bad_grading():
     # an odd generator over Z/3 violates the doubled-pairing condition
-    spec = build_ansatz(AnsatzParams.anyonic(3, (1,), {}), check=False)
+    spec = build_ansatz(Bicharacter.anyonic(3), (1,), {})
     report = check_cocommutation(spec)
     assert not report.passed
 
 
 def test_cocommutation_trivial_when_phases_trivial():
-    spec = build_ansatz(AnsatzParams.anyonic(4, (2, 2), {}), check=False)
+    spec = build_ansatz(Bicharacter.anyonic(4), (2, 2), {})
     assert check_cocommutation(spec).passed
 
 
@@ -155,7 +155,7 @@ def test_braided_jacobi_perturbation_fails():
     bad_c = dict(SL2_C)
     bad_c[(1, 2, 1)] = 1
     assert not classical_jacobi_holds(3, bad_c)
-    spec = build_ansatz(AnsatzParams.anyonic(1, (0, 0, 0), bad_c), check=False)
+    spec = build_ansatz(Bicharacter.anyonic(1), (0, 0, 0), bad_c)
     report = check_braided_jacobi(spec)
     assert not report.passed
     assert report.checks[0].witnesses  # carries the index tuple and both sides
@@ -222,14 +222,14 @@ def test_independence_delta_bracket_only():
 
 
 def test_independence_cocommutation_only():
-    spec = build_ansatz(AnsatzParams.anyonic(3, (1,), {}), check=False)
+    spec = build_ansatz(Bicharacter.anyonic(3), (1,), {})
     assert failing_names(spec) == ["cocommutation"]
 
 
 def test_independence_braided_jacobi_only():
     bad_c = dict(SL2_C)
     bad_c[(1, 2, 1)] = 1
-    spec = build_ansatz(AnsatzParams.anyonic(1, (0, 0, 0), bad_c), check=False)
+    spec = build_ansatz(Bicharacter.anyonic(1), (0, 0, 0), bad_c)
     assert failing_names(spec) == ["braided_jacobi"]
 
 
@@ -318,5 +318,5 @@ def test_verify_all_concurrent_and_deterministic(l2f3, l3f):
 
 def test_cocommutation_fails_with_nonzero_odd_bracket():
     # same bad grading as the abelian case, now with a bracket present
-    spec = build_ansatz(AnsatzParams.anyonic(3, (1, 1), {(1, 2, 1): 1}), check=False)
+    spec = build_ansatz(Bicharacter.anyonic(3), (1, 1), {(1, 2, 1): 1})
     assert not check_cocommutation(spec).passed

@@ -125,9 +125,10 @@ def test_verify_refuses_non_integer_grading(l2f3_file, tmp_path):
     assert line.startswith("error: ") and "must be integers" in line
 
 
-@pytest.mark.parametrize("degree", [1.5, None])
+@pytest.mark.parametrize("degree", [1.5, None, True])
 def test_make_ansatz_refuses_non_integer_degrees(tmp_path, degree):
-    """A float or null degree used to end in a TypeError traceback."""
+    """A float or null degree used to end in a TypeError traceback, and a
+    bool degree was read as 1."""
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps({"dim": 1, "degrees": [degree], "c": []}))
     proc = run_cli("make-ansatz", "--n", "3", "--g-file", str(gpath))
@@ -187,10 +188,89 @@ def test_env_quotient_without_closure_exits_1(tmp_path, capsys):
     assert line.startswith("error: ") and "did not close" in line
 
 
-def run_cli(*args):
+def run_cli(*args, opts=()):
+    """Run the CLI in a fresh interpreter started with `opts`."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "anylie.cli", *args],
+    return subprocess.run([sys.executable, *opts, "-m", "anylie.cli", *args],
                           capture_output=True, text=True, timeout=60, env=env)
+
+
+def assert_one_error_line(proc, code, needle):
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and needle in line
+
+
+# [x1, x2] = x1 with [x2, x1] = 0 breaks the braided Jacobi identity
+JACOBI_BREAKING_G = {"dim": 2, "degrees": [0, 0], "c": [{"i": 1, "j": 2, "k": 1, "val": 1}]}
+
+
+@pytest.mark.parametrize("opts", [(), ("-O",)], ids=["plain", "optimised"])
+def test_make_ansatz_refuses_a_result_that_fails_verification(tmp_path, opts):
+    """The check used to be a bare assert: a traceback, and under -O exit 0
+    with a written spec that verify reports as FAIL."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(JACOBI_BREAKING_G))
+    out = tmp_path / "spec.json"
+    proc = run_cli("make-ansatz", "--n", "1", "--g-file", str(gpath), "-o", str(out),
+                   opts=opts)
+    assert_one_error_line(proc, 1, "braided_jacobi")
+    assert not out.exists()
+
+
+def test_make_ansatz_skip_check_writes_the_unverified_result(tmp_path):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(JACOBI_BREAKING_G))
+    out = tmp_path / "spec.json"
+    proc = run_cli("make-ansatz", "--n", "1", "--g-file", str(gpath), "-o", str(out),
+                   "--skip-check")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert not verify_all(AlgebraSpec.from_json(out.read_text())).passed
+
+
+SPEC_INPUT_ERRORS = {
+    "float eps index": (lambda d: d["eps"][0].update(mu=0.9), "must be integers"),
+    "bool degree": (lambda d: d["basis"][1].update(degree=[True]), "must be integers"),
+    "zero denominator": (lambda d: d["eps"][0].update(val={"order": 1, "terms": [[0, "1/0"]]}),
+                         "zero denominator"),
+}
+
+
+@pytest.mark.parametrize("mutate, needle", SPEC_INPUT_ERRORS.values(), ids=SPEC_INPUT_ERRORS)
+def test_verify_refuses_malformed_numbers(l2f3_file, tmp_path, mutate, needle):
+    """An eps index 0.9 was read as 0 and a bool degree as 1; '1/0' ended
+    in a ZeroDivisionError traceback."""
+    data = json.loads(open(l2f3_file).read())
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert_one_error_line(run_cli("verify", str(bad)), 2, needle)
+
+
+G_FILE_INPUT_ERRORS = {
+    "float dim": ({"dim": 1.9, "c": []}, "must be integers"),
+    "float index": ({"dim": 1, "c": [{"i": 1.2, "j": 1, "k": 1, "val": 0}]}, "must be integers"),
+    "zero denominator": ({"dim": 1, "c": [{"i": 1, "j": 1, "k": 1, "val": "1/0"}]},
+                         "zero denominator"),
+    "bool value": ({"dim": 1, "c": [{"i": 1, "j": 1, "k": 1, "val": True}]}, "True"),
+}
+
+
+@pytest.mark.parametrize("gdata, needle", G_FILE_INPUT_ERRORS.values(), ids=G_FILE_INPUT_ERRORS)
+def test_make_ansatz_refuses_malformed_numbers(tmp_path, gdata, needle):
+    """int() truncated dim 1.9 and index 1.2 and a bool value was read as 1,
+    all with exit 0; '1/0' ended in a ZeroDivisionError traceback."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(gdata))
+    proc = run_cli("make-ansatz", "--n", "1", "--g-file", str(gpath), "--skip-check")
+    assert_one_error_line(proc, 2, needle)
+
+
+def test_search_alphabet_zero_denominator_exits_2():
+    """'1/0' in the alphabet used to end in a ZeroDivisionError traceback."""
+    proc = run_cli("search", "--dim", "1", "--alphabet", "0,1/0")
+    assert_one_error_line(proc, 2, "zero denominator")
 
 
 @pytest.mark.parametrize("names", [["", "h", "e", "f"], ["x0", "h", "e", "h"]])

@@ -4,8 +4,7 @@ from itertools import product
 import pytest
 
 from anylie.algebra import Element, bracket, coproduct, counit, verify_all
-from anylie.constructions import (AnsatzParams, MatrixTypeParams, build_ansatz,
-                                  build_matrix_type, check_ansatz_reduction)
+from anylie.constructions import build_ansatz, build_matrix_type, check_ansatz_reduction
 from anylie.envelope import build_rewrite_system, generate_relations
 from anylie.grading import Bicharacter, GradingGroup
 
@@ -14,7 +13,7 @@ from reference import spec_index_of, spec_label
 
 
 def test_one_dimensional_case():
-    spec = build_matrix_type(MatrixTypeParams.anyonic(1, 1, (0,)))
+    spec = build_matrix_type(1, Bicharacter.anyonic(1), (0,))
     x = Element.basis(0)
     assert bracket(spec, x, x) == x
     assert coproduct(spec, x) == {(0, 0): ONE}
@@ -74,13 +73,13 @@ def test_exhaustive_small_families():
     for N in (1, 2):
         for n in range(1, 7):
             for f in product(range(n), repeat=N):
-                spec = build_matrix_type(MatrixTypeParams.anyonic(N, n, f), check=False)
+                spec = build_matrix_type(N, Bicharacter.anyonic(n), f)
                 assert verify_all(spec).passed, (N, n, f)
 
 
 def test_n3_spot_checks():
     for n, f in [(2, (0, 1, 1)), (3, (0, 1, 2)), (4, (1, 2, 3)), (6, (0, 2, 5))]:
-        spec = build_matrix_type(MatrixTypeParams.anyonic(3, n, f), check=False)
+        spec = build_matrix_type(3, Bicharacter.anyonic(n), f)
         assert verify_all(spec).passed
 
 
@@ -89,13 +88,13 @@ def test_n4_sampled():
     for _ in range(3):
         n = rng.randint(1, 6)
         f = tuple(rng.randrange(n) for _ in range(4))
-        spec = build_matrix_type(MatrixTypeParams.anyonic(4, n, f), check=False)
+        spec = build_matrix_type(4, Bicharacter.anyonic(n), f)
         assert verify_all(spec).passed, (n, f)
 
 
 def test_constructed_spec_always_checked_by_default():
-    # check=True is the default and asserts verification internally
-    build_matrix_type(MatrixTypeParams.anyonic(2, 4, (0, 3)))
+    spec = build_matrix_type(2, Bicharacter.anyonic(4), (0, 3))
+    assert verify_all(spec).passed
 
 
 def test_envelope_matches_closed_form():
@@ -103,30 +102,30 @@ def test_envelope_matches_closed_form():
     matrix-family closed form coefficient by coefficient."""
     for N, n in [(2, 2), (2, 3), (3, 3), (2, 5)]:
         for f in product(range(n), repeat=N):
-            spec = build_matrix_type(MatrixTypeParams.anyonic(N, n, f), check=False)
+            spec = build_matrix_type(N, Bicharacter.anyonic(n), f)
             for rel in generate_relations(spec, force=True):
                 mu, nu = rel.lhs
                 m, mdot = divmod(mu, N)
                 fsum = (f[m] + f[mdot]) % n
-                coeff = spec.bichar.phase_power((fsum,), spec.degrees[nu], -1)
+                coeff = spec.bichar.phase((fsum,), spec.degrees[nu], -1)
                 assert rel.rhs == {(nu, mu): coeff}, (N, n, f, rel.lhs)
 
 
 def test_bicharacter_mode_matrix_family():
     group = GradingGroup((2, 2))
     bi = Bicharacter(group, matrix=((1, 0), (0, 1)))
-    spec = build_matrix_type(MatrixTypeParams(2, bi, ((0, 1), (1, 0))))
+    spec = build_matrix_type(2, bi, ((0, 1), (1, 0)))
     assert verify_all(spec).passed
     bi2 = Bicharacter(GradingGroup((4,)), matrix=((3,),))
-    spec2 = build_matrix_type(MatrixTypeParams(2, bi2, ((1,), (2,))))
+    spec2 = build_matrix_type(2, bi2, ((1,), (2,)))
     assert verify_all(spec2).passed
 
 
 def test_matrix_params_validation():
-    with pytest.raises(ValueError):
-        MatrixTypeParams.anyonic(0, 2, ())
-    with pytest.raises(ValueError):
-        MatrixTypeParams.anyonic(2, 2, (0,))  # f must have N entries
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        build_matrix_type(0, Bicharacter.anyonic(2), ())
+    with pytest.raises(ValueError, match="one value per row"):
+        build_matrix_type(2, Bicharacter.anyonic(2), (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +133,7 @@ def test_matrix_params_validation():
 # ---------------------------------------------------------------------------
 
 def test_ansatz_abelian_trivial_phases():
-    spec = build_ansatz(AnsatzParams.anyonic(4, (2, 2), {}), check=False)
+    spec = build_ansatz(Bicharacter.anyonic(4), (2, 2), {})
     assert verify_all(spec).passed
 
 
@@ -154,38 +153,47 @@ def test_ansatz_super(super_ansatz):
 def test_ansatz_odd_generator_squares_to_zero():
     """One odd generator over Z/2 with zero bracket: the enveloping
     relation x1 x1 = -x1 x1 forces nilpotency."""
-    spec = build_ansatz(AnsatzParams.anyonic(2, (1,), {}), check=True)
+    spec = build_ansatz(Bicharacter.anyonic(2), (1,), {})
+    assert verify_all(spec).passed
     rs = build_rewrite_system(generate_relations(spec), spec.dim, labels=spec.basis)
     assert rs.nilpotents == {1}
 
 
 def test_ansatz_param_validation():
-    with pytest.raises(ValueError):
-        AnsatzParams.anyonic(2, (1,), {(1, 2, 1): 1})  # j out of range
-    with pytest.raises(ValueError):
-        AnsatzParams.anyonic(2, (1,), {}, names=("a", "b"))  # name count
+    with pytest.raises(ValueError, match="out of range"):
+        build_ansatz(Bicharacter.anyonic(2), (1,), {(1, 2, 1): 1})  # j out of range
+    with pytest.raises(ValueError, match="out of range"):
+        check_ansatz_reduction(Bicharacter.anyonic(2), (1,), {(1, 2, 1): 1})
+    with pytest.raises(ValueError, match="one name per g-generator"):
+        build_ansatz(Bicharacter.anyonic(2), (1,), {}, names=("a", "b"))
+
+
+def _reduction_and_full(bichar, p, c):
+    """The reduced-condition checks by name, and full verification of the
+    built ansatz."""
+    report = check_ansatz_reduction(bichar, p, c)
+    checks = {ch.name: ch.passed for ch in report.checks}
+    assert report.passed == all(checks.values())
+    return checks, verify_all(build_ansatz(bichar, p, c)).passed
 
 
 def test_ansatz_reduction_sl2():
-    report = check_ansatz_reduction(
-        AnsatzParams.anyonic(1, (0, 0, 0), SL2_C))
-    assert report.phase_condition.passed
-    assert report.jacobi_condition.passed
-    assert report.homogeneous.passed
-    assert report.verify_passed and report.agrees
+    checks, full = _reduction_and_full(Bicharacter.anyonic(1), (0, 0, 0), SL2_C)
+    assert checks == {"ansatz_phase_condition": True, "ansatz_jacobi_condition": True,
+                      "ansatz_c_homogeneous": True}
+    assert full
 
 
 def test_ansatz_reduction_odd_pair_over_z3():
-    report = check_ansatz_reduction(AnsatzParams.anyonic(3, (1, 1), {(1, 2, 1): 1}))
-    assert not report.phase_condition.passed
-    assert not report.verify_passed
-    assert report.agrees  # both reject
+    checks, full = _reduction_and_full(Bicharacter.anyonic(3), (1, 1), {(1, 2, 1): 1})
+    assert not checks["ansatz_phase_condition"]
+    assert not full  # both reject
 
 
 def test_ansatz_reduction_z4_even_degrees():
-    report = check_ansatz_reduction(AnsatzParams.anyonic(4, (2, 2), {}))
-    assert report.phase_condition.passed  # 2*2*2 = 0 mod 4
-    assert report.reduced_passed and report.verify_passed and report.agrees
+    checks, full = _reduction_and_full(Bicharacter.anyonic(4), (2, 2), {})
+    assert checks["ansatz_phase_condition"]  # 2*2*2 = 0 mod 4
+    assert all(checks.values()) and full
 
 
 def test_ansatz_reduction_agreement_on_many_parameter_sets():
@@ -193,11 +201,11 @@ def test_ansatz_reduction_agreement_on_many_parameter_sets():
     parameter set, including constructed failures."""
     rng = random.Random(5)
     cases = [
-        AnsatzParams.anyonic(1, (0, 0, 0), SL2_C),
-        AnsatzParams.anyonic(2, SUPER_P, SUPER_C),
-        AnsatzParams.anyonic(2, (1, 1), {}),
-        AnsatzParams.anyonic(3, (1,), {}),
-        AnsatzParams.anyonic(2, (0, 1), {(2, 2, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1}),
+        (Bicharacter.anyonic(1), (0, 0, 0), SL2_C),
+        (Bicharacter.anyonic(2), SUPER_P, SUPER_C),
+        (Bicharacter.anyonic(2), (1, 1), {}),
+        (Bicharacter.anyonic(3), (1,), {}),
+        (Bicharacter.anyonic(2), (0, 1), {(2, 2, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1}),
     ]
     for _ in range(12):
         n = rng.randint(1, 4)
@@ -209,7 +217,8 @@ def test_ansatz_reduction_agreement_on_many_parameter_sets():
                 for k in range(1, gdim + 1):
                     if rng.random() < 0.3:
                         c[(i, j, k)] = rng.choice([1, -1, 2])
-        cases.append(AnsatzParams.anyonic(n, p, c))
-    for params in cases:
-        report = check_ansatz_reduction(params)
-        assert report.agrees, (params.p, params.c, str(report))
+        cases.append((Bicharacter.anyonic(n), p, c))
+    for bichar, p, c in cases:
+        report = check_ansatz_reduction(bichar, p, c)
+        full = verify_all(build_ansatz(bichar, p, c))
+        assert report.passed == full.passed, (p, c, str(report), str(full))

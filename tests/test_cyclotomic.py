@@ -161,6 +161,26 @@ def test_json_rejects_bad_input():
         CycNum.from_json({"order": 3, "terms": [[-1, "1"]]})
 
 
+@pytest.mark.parametrize("data", [
+    {"order": 3.7, "terms": [[1, "1"]]},
+    {"order": 3, "terms": [[1.9, "1"]]},
+    {"order": True, "terms": []},
+    {"order": 3, "terms": [[True, "1"]]},
+], ids=["float order", "float exponent", "bool order", "bool exponent"])
+def test_json_refuses_non_integer_order_and_exponents(data):
+    """int() used to truncate: order 3.7 with exponent 1.9 was read as z3."""
+    with pytest.raises(ValueError, match="must be integers"):
+        CycNum.from_json(data)
+
+
+def test_zero_denominator_is_a_value_error():
+    """A '1/0' read from outside used to raise ZeroDivisionError."""
+    with pytest.raises(ValueError, match="zero denominator"):
+        CycNum.from_json({"order": 1, "terms": [[0, "1/0"]]})
+    with pytest.raises(ValueError, match="zero denominator"):
+        CycNum.from_rational("1/0")
+
+
 def test_predicates_and_str():
     assert CycNum.zero(5).is_zero()
     assert not CycNum.zero(5)

@@ -246,7 +246,7 @@ def test_quotient_reproduces_quasi_commutation_of_ansatz(super_ansatz):
     rs = envelope_of(super_ansatz)
     q = quotient_by_central_grouplike(rs, NCPoly.word((0,)))
     hh, qq = 1, 2
-    phase = super_ansatz.phase(super_ansatz.degrees[qq], super_ansatz.degrees[qq])
+    phase = super_ansatz.bichar.phase(super_ansatz.degrees[qq], super_ansatz.degrees[qq])
     lhs = q.normal_form(NCPoly.word((qq, qq)) - NCPoly.word((qq, qq), phase))
     assert lhs == NCPoly({(hh,): ONE})
 

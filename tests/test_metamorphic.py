@@ -7,7 +7,7 @@ import random
 import pytest
 
 from anylie.algebra import AlgebraSpec, verify_all
-from anylie.constructions import MatrixTypeParams, build_matrix_type
+from anylie.constructions import build_matrix_type
 from anylie.cyclotomic import CycNum
 from anylie.grading import Bicharacter, GradingGroup
 
@@ -32,7 +32,7 @@ def perturbed_bracket(spec):
 
 
 def matrix_spec(N, bichar, f, perturb=None):
-    spec = build_matrix_type(MatrixTypeParams(N, bichar, tuple(f)), check=False)
+    spec = build_matrix_type(N, bichar, f)
     return perturb(spec) if perturb else spec
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anylie.cli import SearchSpace, _parse_alphabet, run_search
-from anylie.constructions import MatrixTypeParams, build_matrix_type
+from anylie.constructions import build_matrix_type
 from anylie.cyclotomic import CycNum
 from anylie.envelope import (NCPoly, RelationShapeError, RewriteSystem, Rule,
                              build_rewrite_system, envelope_of, generate_relations,
@@ -85,14 +85,14 @@ def _sweep():
     for N in (1, 2, 3):
         for n in range(1, 8):
             for f in product(range(n), repeat=N):
-                spec = build_matrix_type(MatrixTypeParams.anyonic(N, n, f), check=False)
+                spec = build_matrix_type(N, Bicharacter.anyonic(n), f)
                 rels = generate_relations(spec, force=True)
                 yield f"N={N} n={n} f={f}", rels, spec.dim, None
                 if N == 2:
                     order = rng.sample(range(4), 4)
                     yield f"N=2 n={n} f={f} order={order}", rels, 4, order
     for n, f in ((3, (0, 1, 2, 0)), (4, (0, 1, 2, 3)), (5, (0, 1, 2, 3)), (6, (0, 2, 3, 5))):
-        spec = build_matrix_type(MatrixTypeParams.anyonic(4, n, f), check=False)
+        spec = build_matrix_type(4, Bicharacter.anyonic(n), f)
         yield f"N=4 n={n} f={f}", generate_relations(spec, force=True), 16, None
     for n in range(1, 9):
         space = SearchSpace(1, Bicharacter.anyonic(n), _parse_alphabet("", n))

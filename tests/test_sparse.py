@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from anylie.algebra import Element
 from anylie.anyspace import ThetaPoly
-from anylie.constructions import MatrixTypeParams, build_matrix_type
+from anylie.constructions import build_matrix_type
 from anylie.cyclotomic import CycNum
 from anylie.envelope import NCPoly, TensorSquarePoly
+from anylie.grading import Bicharacter
 from anylie.sparse import LinComb
 
-SPEC = build_matrix_type(MatrixTypeParams.anyonic(2, 3, (0, 1)))
+SPEC = build_matrix_type(2, Bicharacter.anyonic(3), (0, 1))
 
 cyc = st.builds(CycNum, st.sampled_from([1, 2, 3, 4, 6]),
                 st.lists(st.integers(-3, 3), max_size=4))
