@@ -40,6 +40,7 @@ __all__ = [
     "CheckResult",
     "AxiomReport",
     "SpecFormatError",
+    "UnverifiedSpecError",
     "grading_constraint",
     "check_grading",
     "check_coalgebra",
@@ -458,6 +459,10 @@ def check_antisymmetry_info(spec: AlgebraSpec) -> CheckResult:
         rhs[(mu, nu, rho)] = -(spec.bichar.phase(p[mu], p[nu]) * cv)
     witnesses = _compare_sparse(lhs, rhs)
     return CheckResult("antisymmetry", not witnesses, witnesses)
+
+
+class UnverifiedSpecError(ValueError):
+    """A computation was refused for a spec that fails `verify_all`."""
 
 
 def verify_all(spec: AlgebraSpec) -> AxiomReport:

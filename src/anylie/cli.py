@@ -12,11 +12,11 @@ Commands:
     search       brute-force enumeration of low-dimensional algebras
 
 Exit codes: 0 success / checks pass, 1 semantic failure (axioms fail,
-also for a make-* result without --skip-check, a rewrite that exhausts
-its step budget, a quotient closure that does not close, nf on rules
-whose critical pairs do not all resolve), 2 input or usage errors.  All
-output is a pure function of files and flags; repeated runs are
-byte-identical.
+also for a make-* result without --skip-check, env or nf on a spec that
+fails verification without --force, a rewrite that exhausts its step
+budget, a quotient closure that does not close, nf on rules whose
+critical pairs do not all resolve), 2 input or usage errors.  All output
+is a pure function of files and flags; repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ import sys
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import (AlgebraSpec, SpecFormatError, check_coalgebra,
-                      grading_constraint, verify_all)
+from .algebra import (AlgebraSpec, SpecFormatError, UnverifiedSpecError,
+                      check_coalgebra, grading_constraint, verify_all)
 from .anyspace import parse_theta_expr
 from .constructions import build_ansatz, build_matrix_type
 from .cyclotomic import CycNum, checked_integers, root_of_unity
-from .envelope import (CompletionError, NCPoly, UnverifiedSpecError,
-                       build_rewrite_system, envelope_of, generate_relations,
+from .envelope import (CompletionError, NCPoly, build_rewrite_system, generate_relations,
                        quotient_by_central_grouplike)
 from .expr import ExprError, parse_expr
 from .grading import Bicharacter
@@ -138,14 +137,19 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _require_verified(spec: AlgebraSpec, override: str):
+    """Refuse a spec that fails verification, naming the first failing
+    check and, in `override`, the flag that skips this refusal."""
+    failed = [ch.name for ch in verify_all(spec).checks if not ch.passed]
+    if failed:
+        raise UnverifiedSpecError(f"the algebra fails the {failed[0]} check; {override}")
+
+
 def _emit_built(spec: AlgebraSpec, args) -> int:
     """Write a built spec; without --skip-check, one that fails
     verification is refused and nothing is written."""
     if not args.skip_check:
-        failed = [ch.name for ch in verify_all(spec).checks if not ch.passed]
-        if failed:
-            raise UnverifiedSpecError(f"the built algebra fails the {failed[0]} check; "
-                                      "--skip-check writes it unverified")
+        _require_verified(spec, "--skip-check writes it unverified")
     _emit(json.dumps(spec.to_json(), sort_keys=True), args.output)
     return 0
 
@@ -160,30 +164,38 @@ def cmd_make_ansatz(args) -> int:
     with open(args.g_file) as handle:
         gdata = json.load(handle)
     bichar = _grading_from_flags(args)
-    (dim,) = checked_integers((gdata["dim"],), "dim")
-    degrees = gdata.get("degrees", [0] * dim)
-    degrees = [checked_integers(p if isinstance(p, list) else (p,), "degree coordinates")
-               for p in degrees]
-    n_hint = bichar.group.exponent
-    c = {}
-    for e in gdata.get("c", []):
-        key = checked_integers((e["i"], e["j"], e["k"]), "bracket constant indices")
-        c[key] = _loose_cyc(e["val"], n_hint)
-    spec = build_ansatz(bichar, degrees, c, gdata.get("names") or None)
-    return _emit_built(spec, args)
+    try:
+        (dim,) = checked_integers((gdata["dim"],), "dim")
+        degrees = gdata.get("degrees", [0] * dim)
+        if len(degrees) != dim:
+            raise SpecFormatError(f"bad g-file: {len(degrees)} degrees for dim {dim}")
+        degrees = [checked_integers(p if isinstance(p, list) else (p,), "degree coordinates")
+                   for p in degrees]
+        n_hint = bichar.group.exponent
+        c = {}
+        for e in gdata.get("c", []):
+            key = checked_integers((e["i"], e["j"], e["k"]), "bracket constant indices")
+            c[key] = _loose_cyc(e["val"], n_hint)
+        names = gdata.get("names")
+        names = tuple(names) if names else None
+    except (KeyError, TypeError) as exc:
+        raise SpecFormatError(f"bad g-file: {exc}") from exc
+    return _emit_built(build_ansatz(bichar, degrees, c, names), args)
 
 
-def _order_from_flag(spec: AlgebraSpec, text):
-    if not text:
-        return None
-    return _parse_word(spec, text)
+def _envelope(args):
+    """The spec, its relations and their rewrite system under --order, for
+    env and nf; a spec that fails verification is refused unless --force."""
+    spec = _load_spec(args.spec)
+    order = _parse_word(spec, args.order) if args.order else None
+    if not args.force:
+        _require_verified(spec, "--force computes with it anyway")
+    rels = generate_relations(spec)
+    return spec, rels, build_rewrite_system(rels, spec.dim, order=order)
 
 
 def cmd_env(args) -> int:
-    spec = _load_spec(args.spec)
-    order = _order_from_flag(spec, args.order)
-    rels = generate_relations(spec, force=args.force)
-    rs = build_rewrite_system(rels, spec.dim, order=order, labels=spec.basis)
+    spec, rels, rs = _envelope(args)
     if args.quotient:
         poly = _parse_poly(spec, args.quotient)
         rs = quotient_by_central_grouplike(rs, poly)
@@ -193,7 +205,8 @@ def cmd_env(args) -> int:
         payload = {
             "relations": [
                 {"lhs": list(r.lhs),
-                 "rhs": [{"pair": list(k), "val": v.to_json()} for k, v in sorted(r.rhs.items())]}
+                 "rhs": [{"pair": list(k), "val": v.to_json()}
+                         for k, v in sorted(r.rhs.terms.items())]}
                 for r in rels
             ],
             "rules": [
@@ -212,7 +225,7 @@ def cmd_env(args) -> int:
     for rel in rels:
         mu, nu = rel.lhs
         rhs = " + ".join(f"({val})*{labels[g]}*{labels[b]}"
-                         for (g, b), val in sorted(rel.rhs.items())) or "0"
+                         for (g, b), val in sorted(rel.rhs.terms.items())) or "0"
         print(f"{labels[mu]}*{labels[nu]} = {rhs}")
     zp = sorted(rs.zero_pairs)
     print("zero products:",
@@ -254,8 +267,7 @@ def _parse_word(spec: AlgebraSpec, text: str):
 
 
 def cmd_nf(args) -> int:
-    spec = _load_spec(args.spec)
-    rs = envelope_of(spec, _order_from_flag(spec, args.order), force=args.force)
+    spec, _, rs = _envelope(args)
     word = _parse_word(spec, args.word)
     report = rs.check_critical_pairs()
     if not report.confluent:
@@ -292,8 +304,8 @@ class SearchSpace:
 
     Every eps / d / c slot ranges over the alphabet; degree assignments
     either enumerate the whole group or are fixed by `degrees`.  The
-    candidate count and the cap refer to this raw product, although
-    `run_search` visits only the part of it that can pass.
+    candidate count refers to this raw product, although `run_search`
+    visits only the part of it that can pass; `search --cap` bounds it.
     """
 
     dim: int
@@ -301,7 +313,6 @@ class SearchSpace:
     alphabet: list
     degrees: list = None  # list of degree tuples per basis element, or None
     require_nonzero_delta: bool = False
-    cap: int = 10_000_000
 
     def slot_count(self) -> int:
         return self.dim + 2 * self.dim ** 3
@@ -337,11 +348,6 @@ def run_search(space: SearchSpace):
     basis-rescaling or permutation canonicalisation is applied, so
     isomorphic duplicates are reported as distinct solutions.
     """
-    count = space.candidate_count()
-    if count > space.cap:
-        raise ValueError(
-            f"candidate count {count} exceeds the cap {space.cap}; "
-            "narrow the alphabet, dimension, or degree assignments")
     dim = space.dim
     group = space.bichar.group
     triples = [(m, n, r) for m in range(dim) for n in range(dim) for r in range(dim)]
@@ -397,11 +403,10 @@ def cmd_search(args) -> int:
         degrees = _parse_degrees(args.degrees, bichar.group.rank)
         if len(degrees) != args.dim:
             raise SpecFormatError("--degrees needs one entry per basis element")
-    space = SearchSpace(args.dim, bichar, alphabet, degrees,
-                        args.require_nonzero_delta, args.cap)
+    space = SearchSpace(args.dim, bichar, alphabet, degrees, args.require_nonzero_delta)
     count = space.candidate_count()
-    if count > space.cap:
-        print(f"refusing to enumerate {count} candidates (cap {space.cap}); "
+    if count > args.cap:
+        print(f"refusing to enumerate {count} candidates (cap {args.cap}); "
               "narrow the alphabet, dimension, or degrees", file=sys.stderr)
         return 2
     solutions = list(run_search(space))

@@ -1,12 +1,15 @@
 """Enveloping-algebra relations and the rewriting engine for normal forms.
 
-From a verified `AlgebraSpec` the enveloping algebra is presented by one
+From an `AlgebraSpec` the enveloping algebra is presented by one
 quadratic relation per ordered generator pair,
 
     x^mu x^nu  =  sum  beta(p(b), p(nu)) d^mu_{a,b} c^{a,nu}_g  x^g x^b,
 
 a quasi-commutation: the right side is the swapped pair plus strictly
-smaller words.  `build_rewrite_system` orients these by Gauss-Jordan
+smaller words.  It presents the enveloping algebra only when the spec
+passes `verify_all`.  Nothing here checks that: the caller decides, and
+the command line refuses an unverified spec unless `--force` is given.
+`build_rewrite_system` orients relations of any width by Gauss-Jordan
 elimination, with each pivot at the largest word of its row in a deg-lex
 word order; the reduced basis is the rule set.  The forced consequences
 come out as rules with right side 0:
@@ -34,19 +37,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraSpec, verify_all
+from .algebra import AlgebraSpec
 from .cyclotomic import CycNum
 from .sparse import LinComb, accumulate, nonzero
 
 __all__ = [
     "NCPoly",
     "TensorSquarePoly",
-    "QuadRelation",
     "Rule",
     "RewriteSystem",
     "ConfluenceReport",
-    "RelationShapeError",
-    "UnverifiedSpecError",
     "CompletionError",
     "generate_relations",
     "build_rewrite_system",
@@ -64,18 +64,6 @@ MAX_ROUNDS = 16
 # Rewrite steps one `normal_form` call may take before it gives up with
 # `CompletionError`: a guard against rules that do not descend.
 MAX_STEPS = 2_000_000
-
-
-class RelationShapeError(ValueError):
-    """A relation is not quadratic; carries its left side."""
-
-    def __init__(self, pair, message):
-        self.pair = pair
-        super().__init__(f"relation for pair {pair}: {message}")
-
-
-class UnverifiedSpecError(ValueError):
-    """Relations were requested for a spec that fails verification."""
 
 
 class CompletionError(RuntimeError):
@@ -134,22 +122,17 @@ class NCPoly(LinComb):
 
 
 @dataclass(frozen=True)
-class QuadRelation:
-    """x^mu x^nu = sum over (gamma, beta) of coeff * x^gamma x^beta."""
+class Rule:
+    """lhs = rhs: a relation, or, once oriented, the rewrite lhs -> rhs
+    with lhs strictly larger in the order."""
 
     lhs: tuple
-    rhs: dict = field(compare=False)
+    rhs: NCPoly
 
 
-def generate_relations(spec: AlgebraSpec, force: bool = False):
+def generate_relations(spec: AlgebraSpec):
     """The quadratic presentation of the enveloping algebra, one relation
-    per ordered generator pair, in lexicographic pair order.
-
-    Refuses unverified specs unless `force` is set (experimentation flag).
-    """
-    if not force and not verify_all(spec).passed:
-        raise UnverifiedSpecError(
-            "spec fails verification; pass force=True to generate relations anyway")
+    x^mu x^nu = rhs per ordered generator pair, in lexicographic pair order."""
     p = spec.degrees
     relations = []
     for mu in range(spec.dim):
@@ -163,16 +146,8 @@ def generate_relations(spec: AlgebraSpec, force: bool = False):
                 ph = spec.bichar.phase(p[beta], p[nu]) * dv
                 for (gamma, cv) in crow:
                     accumulate(rhs, (gamma, beta), ph * cv)
-            relations.append(QuadRelation((mu, nu), nonzero(rhs)))
+            relations.append(Rule((mu, nu), NCPoly(rhs)))
     return relations
-
-
-@dataclass(frozen=True)
-class Rule:
-    """Oriented rewrite lhs -> rhs with lhs strictly larger in the order."""
-
-    lhs: tuple
-    rhs: NCPoly
 
 
 @dataclass
@@ -204,7 +179,7 @@ class RewriteSystem:
     is never evicted; it lives as long as the system does.
     """
 
-    def __init__(self, ngens: int, rules, order=None, labels=None):
+    def __init__(self, ngens: int, rules, order=None):
         self.ngens = ngens
         if order is None:
             order = tuple(range(ngens))
@@ -213,7 +188,6 @@ class RewriteSystem:
         # order lists generator indices from smallest to largest
         self.order = tuple(order)
         self.rank = {g: i for i, g in enumerate(order)}
-        self.labels = tuple(labels) if labels else tuple(f"x{g}" for g in range(ngens))
         self.rules = []
         self._index = {}  # each nonempty prefix of a left side -> rules with that lhs
         self._widths = ()  # the lengths of the left sides, ascending
@@ -273,8 +247,6 @@ class RewriteSystem:
 
     def normal_form(self, poly: NCPoly) -> NCPoly:
         """Rewrite to normal form; unique when the system is confluent."""
-        if isinstance(poly, (tuple, list)):
-            poly = NCPoly.word(poly)
         result = {}
         stack = list(poly.terms.items())
         steps = 0
@@ -370,13 +342,11 @@ class RewriteSystem:
 
     # -- algebraic queries ----------------------------------------------------
 
-    def is_central(self, poly: NCPoly, generators=None):
+    def is_central(self, poly: NCPoly):
         """True iff poly commutes with every generator at normal form;
         returns (flag, witnesses)."""
-        if generators is None:
-            generators = range(self.ngens)
         witnesses = []
-        for g in generators:
+        for g in range(self.ngens):
             gp = NCPoly.word((g,))
             diff = self.normal_form(poly * gp - gp * poly)
             if not diff.is_zero():
@@ -415,37 +385,28 @@ def _eliminate(system: RewriteSystem, rows) -> RewriteSystem:
     to an empty system the result is the reduced row-echelon basis of
     their span, which is unique.
     """
-    work = RewriteSystem(system.ngens, system.rules, system.order, system.labels)
+    work = RewriteSystem(system.ngens, system.rules, system.order)
     for row in rows:
         row = work.normal_form(row)
         if not row.is_zero():
             work._add(_orient(row, work.word_key))
     rules = sorted((Rule(r.lhs, work.normal_form(r.rhs)) for r in work.rules),
                    key=lambda r: r.lhs)
-    return RewriteSystem(system.ngens, rules, system.order, system.labels)
+    return RewriteSystem(system.ngens, rules, system.order)
 
 
-def build_rewrite_system(relations, ngens: int, order=None, labels=None) -> RewriteSystem:
-    """Orient quadratic relations into the reduced rule set of their span.
+def build_rewrite_system(relations, ngens: int, order=None) -> RewriteSystem:
+    """Orient relations lhs = rhs, of any width, into the reduced rule set
+    of their span.
 
     Zero pairs and nilpotents come out as rules with right side 0.  The
     relations are taken from the largest left side down.  `order` is the
-    generator order (default: spec order).  Raises `RelationShapeError`
-    for a relation that is not quadratic.
+    generator order (default: spec order).
     """
-    empty = RewriteSystem(ngens, (), order, labels)
-    rows = []
-    for rel in sorted(relations, key=lambda rel: empty.word_key(rel.lhs), reverse=True):
-        if len(rel.lhs) != 2 or any(len(w) != 2 for w in rel.rhs):
-            raise RelationShapeError(rel.lhs, "only quadratic relations are supported")
-        rows.append(NCPoly.word(rel.lhs) - NCPoly(rel.rhs))
+    empty = RewriteSystem(ngens, (), order)
+    rows = [NCPoly.word(rel.lhs) - rel.rhs
+            for rel in sorted(relations, key=lambda rel: empty.word_key(rel.lhs), reverse=True)]
     return _eliminate(empty, rows)
-
-
-def envelope_of(spec: AlgebraSpec, order=None, force: bool = False) -> RewriteSystem:
-    """Relations plus rewrite system for a spec, in one step."""
-    rels = generate_relations(spec, force=force)
-    return build_rewrite_system(rels, spec.dim, order=order, labels=spec.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +458,8 @@ class TensorSquarePoly(LinComb):
                     accumulate(out, (u1, u2), val * v1 * v2)
         return self._raw(nonzero(out))
 
-    def render(self, labels=None) -> str:
-        labels = labels or self.spec.basis
+    def render(self) -> str:
+        labels = self.spec.basis
         if not self.terms:
             return "0"
         def name(word):
@@ -515,8 +476,6 @@ class TensorSquarePoly(LinComb):
 def delta_on_products(spec: AlgebraSpec, rs: RewriteSystem, poly: NCPoly) -> TensorSquarePoly:
     """Extend the coproduct multiplicatively to U with the braided crossing
     phase; both tensor legs are returned in normal form."""
-    if isinstance(poly, (tuple, list)):
-        poly = NCPoly.word(poly)
     total = TensorSquarePoly(spec)
     for word, coeff in poly.terms.items():
         acc = TensorSquarePoly.unit(spec)

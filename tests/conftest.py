@@ -59,7 +59,7 @@ def super_ansatz():
 
 def rewrite_system_for(spec, order=None):
     rels = generate_relations(spec)
-    return build_rewrite_system(rels, spec.dim, order=order, labels=spec.basis)
+    return build_rewrite_system(rels, spec.dim, order=order)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from anylie.algebra import AlgebraSpec, Element, SpecFormatError
 from anylie.anyspace import ExprError, ThetaPoly
 from anylie.cli import _match_label
 from anylie.cyclotomic import CycNum, cyclotomic_polynomial, q_binomial, root_of_unity
-from anylie.envelope import NCPoly, RelationShapeError, RewriteSystem, Rule
+from anylie.envelope import NCPoly, RewriteSystem, Rule
 from anylie.sparse import accumulate, nonzero
 
 
@@ -137,8 +137,16 @@ def widened(p: ThetaPoly, vars: int, offset: int = 0) -> ThetaPoly:
 
 # The enveloping-algebra orientation that elimination replaced: pair by
 # pair, with shape checks, then right sides pruned against the finished
-# system to a fixpoint.  Kept unchanged as the reference for
-# tests/test_rewrite_engine.py.
+# system to a fixpoint.  Kept as the reference for
+# tests/test_rewrite_engine.py, with the shape error it raises.
+
+class RelationShapeError(ValueError):
+    """A relation the pairwise orientation cannot handle; carries its left side."""
+
+    def __init__(self, pair, message):
+        self.pair = pair
+        super().__init__(f"relation for pair {pair}: {message}")
+
 
 def _orient_relations(relations, ngens, order):
     """Turn quasi-commutation relations into oriented rules and derive the
@@ -150,11 +158,11 @@ def _orient_relations(relations, ngens, order):
 
     by_pair = {}
     for rel in relations:
-        if len(rel.lhs) != 2:
+        if len(rel.lhs) != 2 or any(len(w) != 2 for w in rel.rhs.terms):
             raise RelationShapeError(rel.lhs, "only quadratic relations are supported")
         if rel.lhs in by_pair:
             raise RelationShapeError(rel.lhs, "duplicate relation for the pair")
-        by_pair[rel.lhs] = dict(rel.rhs)
+        by_pair[rel.lhs] = dict(rel.rhs.terms)
 
     one = CycNum.one()
     rules = {}
@@ -243,8 +251,7 @@ def _orient_relations(relations, ngens, order):
     return rules
 
 
-def build_rewrite_system_pairwise(relations, ngens: int, order=None,
-                                  labels=None) -> RewriteSystem:
+def build_rewrite_system_pairwise(relations, ngens: int, order=None) -> RewriteSystem:
     """Orient quasi-commutation relations and close the consequences.
 
     `order` is the generator order (default: spec order).  Raises
@@ -256,7 +263,7 @@ def build_rewrite_system_pairwise(relations, ngens: int, order=None,
         raise ValueError("generator order must be a permutation of all indices")
     rule_map = _orient_relations(relations, ngens, order)
     rules = [Rule(lhs, NCPoly(rhs)) for lhs, rhs in sorted(rule_map.items())]
-    rs = RewriteSystem(ngens, rules, order=order, labels=labels)
+    rs = RewriteSystem(ngens, rules, order=order)
     # prune rule right sides against the finished system (e.g. words that
     # contain a derived zero pair), iterating to a fixpoint
     for _ in range(len(rules) + 1):
@@ -267,7 +274,7 @@ def build_rewrite_system_pairwise(relations, ngens: int, order=None,
             if nf != rule.rhs:
                 changed = True
             new_rules.append(Rule(rule.lhs, nf))
-        rs = RewriteSystem(ngens, new_rules, order=order, labels=labels)
+        rs = RewriteSystem(ngens, new_rules, order=order)
         if not changed:
             break
     return rs

@@ -11,11 +11,6 @@ from anylie.algebra import AlgebraSpec, verify_all
 
 
 def reference_search(space):
-    count = space.candidate_count()
-    if count > space.cap:
-        raise ValueError(
-            f"candidate count {count} exceeds the cap {space.cap}; "
-            "narrow the alphabet, dimension, or degree assignments")
     dim = space.dim
     triples = [(m, n, r) for m in range(dim) for n in range(dim) for r in range(dim)]
     basis = [f"x{i}" for i in range(dim)]

@@ -48,8 +48,7 @@ def _example_systems():
         build_ansatz(Bicharacter.anyonic(1), (0, 0, 0), SL2_C, names=("h", "e", "f")),
         build_ansatz(Bicharacter.anyonic(2), SUPER_P, SUPER_C, names=("h", "q")),
     ):
-        rs = build_rewrite_system(generate_relations(spec, force=True),
-                                  spec.dim, labels=spec.basis)
+        rs = build_rewrite_system(generate_relations(spec), spec.dim)
         out.append((spec, rs))
     return out
 
@@ -74,7 +73,7 @@ def test_criterion_02_z3_example_relations(tmp_path, capsys):
     with _criterion(2, "L_{2,f} at n=3 derives the six zero products and cb = z3*bc"):
         spec = build_matrix_type(2, Bicharacter.anyonic(3), (0, 1))
         a, b, c, d = range(4)
-        rs = build_rewrite_system(generate_relations(spec), 4, labels=spec.basis)
+        rs = build_rewrite_system(generate_relations(spec), 4)
         assert rs.zero_pairs == {(b, d), (d, b), (c, d), (d, c)}
         assert rs.nilpotents == {b, c}
         assert rs.nf_word((c, b)) == NCPoly({(b, c): z(3)})
@@ -98,7 +97,7 @@ def test_criterion_03_super_example_m11():
     with _criterion(3, "U(L_{2,f}) at n=2 is the super-matrix algebra M_{1|1}"):
         spec = build_matrix_type(2, Bicharacter.anyonic(2), (0, 1))
         a, b, c, d = range(4)
-        rs = build_rewrite_system(generate_relations(spec), 4, labels=spec.basis)
+        rs = build_rewrite_system(generate_relations(spec), 4)
         for x in range(4):
             assert rs.normal_form(
                 NCPoly.word((a, x)) - NCPoly.word((x, a))).is_zero()
@@ -113,7 +112,7 @@ def test_criterion_04_l3f_relations():
     with _criterion(4, "L_{3,f} quasi-commutation phases and zero products"):
         spec = build_matrix_type(3, Bicharacter.anyonic(3), (0, 1, 2))
         aa, bm, bp, cp, dp, em, cm, ep, dm = range(9)
-        rs = build_rewrite_system(generate_relations(spec), 9, labels=spec.basis)
+        rs = build_rewrite_system(generate_relations(spec), 9)
         # b+-c+- = z3 c+-b+- and b+-c-+ = z3^-1 c-+b+-
         assert rs.nf_word((cp, bp)) == NCPoly({(bp, cp): z(3, -1)})
         assert rs.nf_word((cm, bm)) == NCPoly({(bm, cm): z(3, -1)})
@@ -143,7 +142,7 @@ def test_criterion_05_grouplike_central_quotient():
     with _criterion(5, "ad-cb is grouplike and central; quotient gives b=c=0, ad=1"):
         spec = build_matrix_type(2, Bicharacter.anyonic(3), (0, 1))
         a, b, c, d = range(4)
-        rs = build_rewrite_system(generate_relations(spec), 4, labels=spec.basis)
+        rs = build_rewrite_system(generate_relations(spec), 4)
         det = NCPoly({(a, d): ONE, (c, b): -ONE})
         delta = delta_on_products(spec, rs, det)
         nf = rs.normal_form(det)

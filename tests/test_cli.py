@@ -254,17 +254,27 @@ G_FILE_INPUT_ERRORS = {
     "zero denominator": ({"dim": 1, "c": [{"i": 1, "j": 1, "k": 1, "val": "1/0"}]},
                          "zero denominator"),
     "bool value": ({"dim": 1, "c": [{"i": 1, "j": 1, "k": 1, "val": True}]}, "True"),
+    "top-level list": ([1], "bad g-file"),
+    "list c entry": ({"dim": 1, "c": [[1, 1, 1, 1]]}, "bad g-file"),
+    "c entry without val": ({"dim": 1, "c": [{"i": 1, "j": 1, "k": 1}]}, "bad g-file: 'val'"),
+    "degrees for another dim": ({"dim": 3, "degrees": [0], "c": []}, "1 degrees for dim 3"),
+    "names not a list": ({"dim": 1, "names": 5, "c": []}, "bad g-file"),
 }
 
 
 @pytest.mark.parametrize("gdata, needle", G_FILE_INPUT_ERRORS.values(), ids=G_FILE_INPUT_ERRORS)
 def test_make_ansatz_refuses_malformed_numbers(tmp_path, gdata, needle):
     """int() truncated dim 1.9 and index 1.2 and a bool value was read as 1,
-    all with exit 0; '1/0' ended in a ZeroDivisionError traceback."""
+    all with exit 0; '1/0' ended in a ZeroDivisionError traceback.  The list
+    and non-list shapes ended in a TypeError traceback, a missing val printed
+    only 'val', and dim 3 with one degree wrote a 2-dimensional algebra."""
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(gdata))
-    proc = run_cli("make-ansatz", "--n", "1", "--g-file", str(gpath), "--skip-check")
+    out = tmp_path / "spec.json"
+    proc = run_cli("make-ansatz", "--n", "1", "--g-file", str(gpath), "-o", str(out),
+                   "--skip-check")
     assert_one_error_line(proc, 2, needle)
+    assert not out.exists()
 
 
 def test_search_alphabet_zero_denominator_exits_2():
@@ -361,16 +371,39 @@ def test_nf_refuses_a_system_that_is_not_confluent(tmp_path, word):
                     "the critical pair at x[1,3]*x[2,3]*x[2,1] diverges")
 
 
-def test_env_unverified_spec_needs_force(l2f3_file, tmp_path, capsys):
+@pytest.fixture
+def bad_counit_file(l2f3_file, tmp_path):
+    """l2f3 with a counit on x[1,2], which breaks the grading; the counit
+    enters no relation, so the rewrite system is that of l2f3."""
     data = json.loads(open(l2f3_file).read())
-    data["c"][0]["val"] = {"order": 1, "terms": [[0, "2"]]}
+    data["eps"].append({"mu": 1, "val": {"order": 1, "terms": [[0, "1"]]}})
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    assert main(["env", str(bad)]) == 1
-    capsys.readouterr()
+    return str(bad)
+
+
+def assert_refused_unverified(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "grading check" in line and "--force" in line
+
+
+def test_env_unverified_spec_needs_force(l2f3_file, bad_counit_file, capsys):
+    assert main(["env", bad_counit_file]) == 1
+    assert_refused_unverified(capsys)
     # --force generates relations anyway
-    code = main(["env", str(bad), "--force"])
-    assert code in (0, 1)
+    assert main(["env", bad_counit_file, "--force"]) == 0
+    forced = capsys.readouterr().out
+    assert main(["env", l2f3_file]) == 0
+    assert forced == capsys.readouterr().out
+
+
+def test_nf_unverified_spec_needs_force(bad_counit_file, capsys):
+    assert main(["nf", bad_counit_file, "x[2,1],x[1,2]"]) == 1
+    assert_refused_unverified(capsys)
+    assert main(["nf", bad_counit_file, "x[2,1],x[1,2]", "--force"]) == 0
+    assert capsys.readouterr().out == "(z3)*x[1,2]*x[2,1]\n"
 
 
 def test_nf_command(l2f3_file, capsys):

@@ -2,16 +2,14 @@ import random
 
 import pytest
 
-from anylie.algebra import AlgebraSpec
+from anylie.algebra import AlgebraSpec, verify_all
 from anylie.cyclotomic import CycNum
-from anylie.envelope import (NCPoly, QuadRelation,
-                             RelationShapeError, RewriteSystem, Rule,
-                             TensorSquarePoly, UnverifiedSpecError,
+from anylie.envelope import (NCPoly, RewriteSystem, Rule, TensorSquarePoly,
                              build_rewrite_system, counit_on_poly,
-                             delta_on_products, envelope_of, generate_relations,
+                             delta_on_products, generate_relations,
                              is_grouplike, quotient_by_central_grouplike)
 
-from conftest import ONE, random_word, z
+from conftest import ONE, random_word, rewrite_system_for, z
 from reference import word_less
 
 A, B, C, D = range(4)
@@ -28,22 +26,23 @@ def test_ncpoly_arithmetic():
 
 
 def test_generated_relations_worked_examples(l2f3, l2f2):
-    rel3 = {r.lhs: r.rhs for r in generate_relations(l2f3)}
+    rel3 = {r.lhs: r.rhs.terms for r in generate_relations(l2f3)}
     assert rel3[(C, B)] == {(B, C): z(3)}
     assert rel3[(B, C)] == {(C, B): z(3, 2)}
     for x in range(4):
         assert rel3[(A, x)] == {(x, A): ONE}
-    rel2 = {r.lhs: r.rhs for r in generate_relations(l2f2)}
+    rel2 = {r.lhs: r.rhs.terms for r in generate_relations(l2f2)}
     assert rel2[(B, C)] == {(C, B): -ONE}
     assert rel2[(C, B)] == {(B, C): -ONE}
 
 
-def test_relations_reject_unverified_spec(l2f3):
+def test_relations_of_unverified_spec(l2f3):
+    """The library does not verify: a counit that breaks the axioms enters
+    no relation, so the broken spec has the relations of the good one."""
     broken = AlgebraSpec(l2f3.bichar, l2f3.basis, l2f3.degrees,
                          dict(l2f3.eps) | {1: ONE}, l2f3.d, l2f3.c)
-    with pytest.raises(UnverifiedSpecError):
-        generate_relations(broken)
-    assert generate_relations(broken, force=True)  # override for experimentation
+    assert not verify_all(broken).passed
+    assert generate_relations(broken) == generate_relations(l2f3)
 
 
 def test_rewrite_system_l2f3(l2f3_rs):
@@ -91,8 +90,7 @@ def test_rewrite_system_l3f(l3f_rs):
 
 
 def test_custom_generator_order(l2f3):
-    rs = build_rewrite_system(generate_relations(l2f3), 4,
-                              order=(3, 2, 1, 0), labels=l2f3.basis)
+    rs = build_rewrite_system(generate_relations(l2f3), 4, order=(3, 2, 1, 0))
     # with d smallest, bc rewrites towards cb instead
     assert rs.nf_word((B, C)) == NCPoly({(C, B): z(3, 2)})
     assert rs.zero_pairs == {(B, D), (D, B), (C, D), (D, C)}
@@ -101,10 +99,6 @@ def test_custom_generator_order(l2f3):
 def test_bad_order_rejected(l2f3):
     with pytest.raises(ValueError):
         build_rewrite_system(generate_relations(l2f3), 4, order=(0, 1, 2, 2))
-
-
-def test_normal_form_accepts_word_input(l2f3_rs):
-    assert l2f3_rs.normal_form((C, B)) == l2f3_rs.nf_word((C, B))
 
 
 def test_normal_form_idempotent_and_degree_preserving(l2f3, l2f3_rs):
@@ -153,27 +147,25 @@ def test_inconsistent_system_divergence_witness(l2f3):
 
 
 def test_shape_errors():
-    """Elimination orients any quadratic span at its largest words; the
-    three inputs the pairwise orientation refused now give rule sets."""
+    """Elimination orients any span at its largest words: the inputs the
+    pairwise orientation refused, quadratic or not, give rule sets."""
     def rules_of(relations):
         rs = build_rewrite_system(relations, 2)
         return {r.lhs: r.rhs for r in rs.rules}
 
+    def rel(lhs, rhs):
+        return Rule(lhs, NCPoly({w: ONE for w in rhs}))
+
     # x0^2 = x1^2 ascends: the pivot is the larger word x1x1
-    assert rules_of([QuadRelation((0, 0), {(1, 1): ONE})]) == {
-        (1, 1): NCPoly.word((0, 0))}
+    assert rules_of([rel((0, 0), [(1, 1)])]) == {(1, 1): NCPoly.word((0, 0))}
     # a lone relation needs no partner
-    assert rules_of([QuadRelation((0, 1), {(1, 0): ONE})]) == {
-        (1, 0): NCPoly.word((0, 1))}
+    assert rules_of([rel((0, 1), [(1, 0)])]) == {(1, 0): NCPoly.word((0, 1))}
     # x1 x1 = x1 x1 + x0 x0 leaves 0 = x0 x0
-    assert rules_of([QuadRelation((1, 1), {(1, 1): ONE, (0, 0): ONE})]) == {
-        (0, 0): NCPoly.zero()}
-    # not quadratic
-    with pytest.raises(RelationShapeError) as err:
-        build_rewrite_system([QuadRelation((0, 0, 1), {(1, 0): ONE})], 2)
-    assert "(0, 0, 1)" in str(err.value)
-    with pytest.raises(RelationShapeError):
-        build_rewrite_system([QuadRelation((0, 1), {(1,): ONE})], 2)
+    assert rules_of([rel((1, 1), [(1, 1), (0, 0)])]) == {(0, 0): NCPoly.zero()}
+    # width three: x0 x0 x1 is the largest word of its row
+    assert rules_of([rel((0, 0, 1), [(1, 0)])]) == {(0, 0, 1): NCPoly.word((1, 0))}
+    # a linear right side: x0 x1 -> x1
+    assert rules_of([rel((0, 1), [(1,)])]) == {(0, 1): NCPoly.word((1,))}
 
 
 def test_delta_on_products_examples(l2f3, l2f3_rs, l2f2, l2f2_rs):
@@ -243,8 +235,7 @@ def test_quotient_by_x0_realizes_classical_enveloping(sl2_ansatz, sl2_rs):
 
 def test_quotient_reproduces_quasi_commutation_of_ansatz(super_ansatz):
     """x^i x^j - beta(p_i, p_j) x^j x^i = c^{ij}_a x^a after setting x0 = 1."""
-    rs = envelope_of(super_ansatz)
-    q = quotient_by_central_grouplike(rs, NCPoly.word((0,)))
+    q = quotient_by_central_grouplike(rewrite_system_for(super_ansatz), NCPoly.word((0,)))
     hh, qq = 1, 2
     phase = super_ansatz.bichar.phase(super_ansatz.degrees[qq], super_ansatz.degrees[qq])
     lhs = q.normal_form(NCPoly.word((qq, qq)) - NCPoly.word((qq, qq), phase))
@@ -256,12 +247,6 @@ def test_quotient_rejects_noncentral(l2f2_rs):
         quotient_by_central_grouplike(l2f2_rs, NCPoly.word((B,)))
     with pytest.raises(ValueError):
         quotient_by_central_grouplike(l2f2_rs, NCPoly.zero())
-
-
-def test_envelope_of_shortcut(l2f3, l2f3_rs):
-    rs = envelope_of(l2f3)
-    assert rs.zero_pairs == l2f3_rs.zero_pairs
-    assert rs.nf_word((C, B)) == l2f3_rs.nf_word((C, B))
 
 
 def test_tensor_square_render(l2f3, l2f3_rs):
