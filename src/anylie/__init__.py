@@ -7,11 +7,10 @@ terminating rewrite system, builds the standard example families, and
 implements the calculus of the one-dimensional braided line C[t]/t^n.
 """
 
-from .algebra import (AlgebraSpec, AxiomReport, Element, SpecFormatError,
-                      UnverifiedSpecError, bracket, check_antisymmetry_info,
-                      check_bracket_counit, check_braided_jacobi, check_coalgebra,
-                      check_cocommutation, check_delta_bracket, check_grading,
-                      coproduct, counit, verify_all)
+from .algebra import (AlgebraSpec, AxiomReport, SpecFormatError, UnverifiedSpecError,
+                      check_antisymmetry_info, check_bracket_counit, check_braided_jacobi,
+                      check_coalgebra, check_cocommutation, check_delta_bracket,
+                      check_grading, verify_all)
 from .constructions import build_ansatz, build_matrix_type, check_ansatz_reduction
 from .cyclotomic import CycNum, cyclotomic_polynomial, q_binomial, q_integer, root_of_unity
 from .envelope import (CompletionError, NCPoly, RewriteSystem, TensorSquarePoly,

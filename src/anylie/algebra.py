@@ -22,6 +22,10 @@ compatibility conditions that make the data a braided Lie algebra:
 Because the tensors are sparse and the comparisons cover the full index
 range (absent keys are zero), a pass is a proof at the given dimension,
 not a sample.  Failures carry the offending index tuple and both sides.
+
+The tensors are the whole interface: the bracket is `c` itself, and L is
+reached as the degree-1 part of U(L), where `anylie.envelope` evaluates
+the coproduct and the counit.
 """
 
 from __future__ import annotations
@@ -31,11 +35,10 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import CycNum, checked_integers
 from .grading import Bicharacter
-from .sparse import LinComb, accumulate, nonzero
+from .sparse import accumulate
 
 __all__ = [
     "AlgebraSpec",
-    "Element",
     "Witness",
     "CheckResult",
     "AxiomReport",
@@ -50,9 +53,6 @@ __all__ = [
     "check_braided_jacobi",
     "check_antisymmetry_info",
     "verify_all",
-    "coproduct",
-    "counit",
-    "bracket",
 ]
 
 
@@ -168,30 +168,6 @@ class AlgebraSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecFormatError(f"bad algebra description: {exc}") from exc
         return cls(bichar, basis, degrees, eps, d, c)
-
-
-class Element(LinComb):
-    """A vector in the algebra: sparse map basis index -> coefficient."""
-
-    __slots__ = ()
-
-    def __init__(self, coeffs=()):
-        self.terms = nonzero({int(mu): CycNum.promote(val)
-                              for mu, val in dict(coeffs).items()})
-
-    @classmethod
-    def basis(cls, mu: int) -> "Element":
-        return cls({mu: CycNum.one()})
-
-    @classmethod
-    def zero(cls) -> "Element":
-        return cls()
-
-    def __repr__(self):
-        if not self.terms:
-            return "Element(0)"
-        parts = [f"({val})*x[{mu}]" for mu, val in sorted(self.terms.items())]
-        return "Element(" + " + ".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -476,44 +452,3 @@ def verify_all(spec: AlgebraSpec) -> AxiomReport:
     report.info.append(check_antisymmetry_info(spec))
     return report
 
-
-# ---------------------------------------------------------------------------
-# evaluation on elements
-# ---------------------------------------------------------------------------
-
-def _check_element(spec: AlgebraSpec, el: Element):
-    for mu in el.terms:
-        if not 0 <= mu < spec.dim:
-            raise ValueError(f"element index {mu} outside dimension {spec.dim}")
-
-
-def coproduct(spec: AlgebraSpec, el: Element) -> dict:
-    """delta extended linearly; returns a sparse rank-2 tensor
-    {(nu, rho): coefficient}."""
-    _check_element(spec, el)
-    out = {}
-    for mu, coeff in el.terms.items():
-        for (nu, rho, val) in spec._d_rows.get(mu, ()):
-            accumulate(out, (nu, rho), coeff * val)
-    return nonzero(out)
-
-
-def counit(spec: AlgebraSpec, el: Element) -> CycNum:
-    _check_element(spec, el)
-    total = CycNum.zero()
-    for mu, coeff in el.terms.items():
-        e = spec.eps.get(mu)
-        if e is not None:
-            total = total + coeff * e
-    return total
-
-
-def bracket(spec: AlgebraSpec, x: Element, y: Element) -> Element:
-    _check_element(spec, x)
-    _check_element(spec, y)
-    out = {}
-    for mu, cx in x.terms.items():
-        for nu, cy in y.terms.items():
-            for (rho, val) in spec._c_by_pair.get((mu, nu), ()):
-                accumulate(out, rho, cx * cy * val)
-    return x._raw(nonzero(out))

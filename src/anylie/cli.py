@@ -15,8 +15,9 @@ Exit codes: 0 success / checks pass, 1 semantic failure (axioms fail,
 also for a make-* result without --skip-check, env or nf on a spec that
 fails verification without --force, a rewrite that exhausts its step
 budget, a quotient closure that does not close, nf on rules whose
-critical pairs do not all resolve), 2 input or usage errors.  All output
-is a pure function of files and flags; repeated runs are byte-identical.
+critical pairs do not all resolve), 2 input or usage errors (also a
+--quotient element that is not grouplike).  All output is a pure
+function of files and flags; repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .anyspace import parse_theta_expr
 from .constructions import build_ansatz, build_matrix_type
 from .cyclotomic import CycNum, checked_integers, root_of_unity
 from .envelope import (CompletionError, NCPoly, build_rewrite_system, generate_relations,
-                       quotient_by_central_grouplike)
+                       is_grouplike, quotient_by_central_grouplike, render_word)
 from .expr import ExprError, parse_expr
 from .grading import Bicharacter
 
@@ -198,9 +199,15 @@ def cmd_env(args) -> int:
     spec, rels, rs = _envelope(args)
     if args.quotient:
         poly = _parse_poly(spec, args.quotient)
+        grouplike, witnesses = is_grouplike(spec, rs, poly)
+        if not grouplike:
+            raise ValueError("the --quotient element is not grouplike: " + ", ".join(
+                f"delta(p) - p(x)p = {w.render()}" if name == "delta" else f"eps(p) = {w}"
+                for name, w in witnesses))
         rs = quotient_by_central_grouplike(rs, poly)
     conf = rs.check_local_confluence(args.degree_cap)
     labels = spec.basis
+    rules = sorted(rs.rules, key=lambda r: (len(r.lhs), r.lhs))
     if args.json:
         payload = {
             "relations": [
@@ -213,7 +220,7 @@ def cmd_env(args) -> int:
                 {"lhs": list(rule.lhs),
                  "rhs": [{"word": list(w), "val": v.to_json()}
                          for w, v in sorted(rule.rhs.terms.items())]}
-                for rule in sorted(rs.rules, key=lambda r: (len(r.lhs), r.lhs))
+                for rule in rules
             ],
             "zero_pairs": sorted(list(p) for p in rs.zero_pairs),
             "nilpotents": sorted(rs.nilpotents),
@@ -223,17 +230,15 @@ def cmd_env(args) -> int:
         print(json.dumps(payload, sort_keys=True))
         return 0
     for rel in rels:
-        mu, nu = rel.lhs
-        rhs = " + ".join(f"({val})*{labels[g]}*{labels[b]}"
-                         for (g, b), val in sorted(rel.rhs.terms.items())) or "0"
-        print(f"{labels[mu]}*{labels[nu]} = {rhs}")
-    zp = sorted(rs.zero_pairs)
+        print(f"{render_word(rel.lhs, labels)} = {rel.rhs.render(labels)}")
     print("zero products:",
-          ", ".join(f"{labels[x]}*{labels[y]}" for x, y in zp) if zp else "(none)")
-    np_ = sorted(rs.nilpotents)
+          ", ".join(render_word(pair, labels) for pair in sorted(rs.zero_pairs)) or "(none)")
     print("nilpotent generators:",
-          ", ".join(f"{labels[g]}" for g in np_) if np_ else "(none)")
-    print(conf)
+          ", ".join(labels[g] for g in sorted(rs.nilpotents)) or "(none)")
+    if args.quotient:
+        for rule in rules:
+            print(f"{render_word(rule.lhs, labels)} -> {rule.rhs.render(labels)}")
+    print(conf.render(labels))
     return 0
 
 
@@ -271,7 +276,7 @@ def cmd_nf(args) -> int:
     word = _parse_word(spec, args.word)
     report = rs.check_critical_pairs()
     if not report.confluent:
-        at = "*".join(spec.basis[g] for g in report.divergences[0][0])
+        at = render_word(report.divergences[0][0], spec.basis)
         raise CompletionError(f"normal forms are not unique: the critical pair at {at} diverges")
     nf = rs.nf_word(word)
     if args.json:
@@ -472,7 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="generate relations even if the algebra fails verification")
     p.add_argument("--quotient",
-                   help="central grouplike polynomial to set equal to 1")
+                   help="central grouplike polynomial to set equal to 1 (one that is "
+                        "not grouplike is refused, exit 2); prints the rules of the closure")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_env)
 

@@ -54,6 +54,7 @@ __all__ = [
     "counit_on_poly",
     "is_grouplike",
     "quotient_by_central_grouplike",
+    "render_word",
 ]
 
 # Rounds of critical pairs a quotient closure may take.  The closures in
@@ -68,6 +69,11 @@ MAX_STEPS = 2_000_000
 
 class CompletionError(RuntimeError):
     """Rewriting or a quotient closure did not finish, or normal forms are not unique."""
+
+
+def render_word(word, labels) -> str:
+    """A word as its generator labels joined by '*'; the empty word is 1."""
+    return "*".join(labels[g] for g in word) if word else "1"
 
 
 class NCPoly(LinComb):
@@ -106,19 +112,17 @@ class NCPoly(LinComb):
                 accumulate(out, w1 + w2, v1 * v2)
         return self._raw(nonzero(out))
 
-    def render(self, labels=None) -> str:
+    def render(self, labels) -> str:
         if not self.terms:
             return "0"
         parts = []
         for word in sorted(self.terms, key=lambda w: (len(w), w)):
             coeff = self.terms[word]
-            name = "1" if not word else "*".join(
-                labels[g] if labels else f"x{g}" for g in word)
-            parts.append(f"({coeff})*{name}" if name != "1" else f"({coeff})")
+            parts.append(f"({coeff})*{render_word(word, labels)}" if word else f"({coeff})")
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"NCPoly({self.render()})"
+        return f"NCPoly({self.terms})"
 
 
 @dataclass(frozen=True)
@@ -156,12 +160,13 @@ class ConfluenceReport:
     divergences: list = field(default_factory=list)
     words_checked: int = 0
 
-    def __str__(self):
+    def render(self, labels) -> str:
         if self.confluent:
             return f"locally confluent ({self.words_checked} words checked)"
         lines = [f"NOT confluent ({len(self.divergences)} divergent words)"]
         for word, forms in self.divergences[:5]:
-            lines.append(f"  word {word}: normal forms {[f.render() for f in forms]}")
+            lines.append(f"  word {render_word(word, labels)}: normal forms "
+                         + "; ".join(f.render(labels) for f in forms))
         return "\n".join(lines)
 
 
@@ -459,14 +464,13 @@ class TensorSquarePoly(LinComb):
         return self._raw(nonzero(out))
 
     def render(self) -> str:
-        labels = self.spec.basis
         if not self.terms:
             return "0"
-        def name(word):
-            return "1" if not word else "*".join(labels[g] for g in word)
+        labels = self.spec.basis
         parts = []
         for (w1, w2) in sorted(self.terms, key=lambda k: (len(k[0]) + len(k[1]), k)):
-            parts.append(f"({self.terms[(w1, w2)]})*{name(w1)}(x){name(w2)}")
+            parts.append(f"({self.terms[(w1, w2)]})*"
+                         f"{render_word(w1, labels)}(x){render_word(w2, labels)}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -502,14 +506,21 @@ def counit_on_poly(spec: AlgebraSpec, poly: NCPoly) -> CycNum:
     return total
 
 
-def is_grouplike(spec: AlgebraSpec, rs: RewriteSystem, poly: NCPoly) -> bool:
-    """delta(p) = p (x) p at normal form and eps(p) = 1."""
+def is_grouplike(spec: AlgebraSpec, rs: RewriteSystem, poly: NCPoly):
+    """True iff delta(p) = p (x) p at normal form and eps(p) = 1; returns (flag,
+    witnesses): ("delta", delta(p) - p (x) p) if nonzero, ("counit", eps(p)) if not 1."""
     nf = rs.normal_form(poly)
-    delta = delta_on_products(spec, rs, nf)
     square = TensorSquarePoly(
         spec, {(w1, w2): v1 * v2 for w1, v1 in nf.terms.items()
                for w2, v2 in nf.terms.items()})
-    return delta == square.normalized(rs) and counit_on_poly(spec, nf).is_one()
+    witnesses = []
+    defect = delta_on_products(spec, rs, nf) - square.normalized(rs)
+    if not defect.is_zero():
+        witnesses.append(("delta", defect))
+    eps = counit_on_poly(spec, nf)
+    if not eps.is_one():
+        witnesses.append(("counit", eps))
+    return (not witnesses), witnesses
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Sparse linear combinations over Q(zeta_m).
 
-Algebra elements, words of the enveloping algebra, the braided tensor
-square and the anyspace are all finite sums of keys with cyclotomic
-coefficients.  This module is the one place that knows how such a sum is
-stored: a dict from key to nonzero `CycNum`.  `LinComb` carries the
-vector-space operations; each subclass adds only its key normalisation,
-its product rule, its context and its rendering.
+Polynomials in the enveloping algebra, its braided tensor square and the
+anyspace are all finite sums of keys with cyclotomic coefficients.  This
+module is the one place that knows how such a sum is stored: a dict from
+key to nonzero `CycNum`.  `LinComb` carries the vector-space operations;
+each subclass adds only its key normalisation, its product rule, its
+context and its rendering.
 """
 
 from __future__ import annotations

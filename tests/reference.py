@@ -5,7 +5,7 @@ import cmath
 from fractions import Fraction
 from math import gcd
 
-from anylie.algebra import AlgebraSpec, Element, SpecFormatError
+from anylie.algebra import AlgebraSpec, SpecFormatError
 from anylie.anyspace import ExprError, ThetaPoly
 from anylie.cli import _match_label
 from anylie.cyclotomic import CycNum, cyclotomic_polynomial, q_binomial, root_of_unity
@@ -118,10 +118,14 @@ def antipode_recursive(p: ThetaPoly) -> ThetaPoly:
                               for k, v in p.terms.items()})
 
 
-def homogeneous_degree(el: Element, spec):
-    """The common degree of the support, or None for mixed/zero."""
-    degs = {spec.degrees[mu] for mu in el.terms}
-    return degs.pop() if len(degs) == 1 else None
+def delta_row(spec, mu: int) -> dict:
+    """The coproduct of x^mu read off `spec.d`: {(nu, rho): coefficient}."""
+    return {(nu, rho): v for (m, nu, rho), v in spec.d.items() if m == mu}
+
+
+def bracket_row(spec, mu: int, nu: int) -> dict:
+    """[x^mu, x^nu] read off `spec.c`: {rho: coefficient}."""
+    return {rho: v for (m, n, rho), v in spec.c.items() if (m, n) == (mu, nu)}
 
 
 def widened(p: ThetaPoly, vars: int, offset: int = 0) -> ThetaPoly:

@@ -299,7 +299,7 @@ def test_criterion_09_property_suites():
 
             # local confluence at degree cap 4
             report = rs.check_local_confluence(4)
-            assert report.confluent, (spec.basis, str(report))
+            assert report.confluent, report.render(spec.basis)
 
 
 def test_criterion_10_desk_scale_search(capsys):

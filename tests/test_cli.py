@@ -180,12 +180,64 @@ def test_env_quotient_without_closure_exits_1(tmp_path, capsys):
     assert main(["make-matrix", "--N", "3", "--n", "3", "--f", "0,0,1",
                  "-o", str(path)]) == 0
     capsys.readouterr()
-    # completion must add x_a x_b^k x_c -> 0 for every k, so it never closes
-    assert main(["env", str(path), "--quotient", "x[1,1]"]) == 1
+    # 1 is central and grouplike and adds no rule, but completing these rules
+    # must add x_a x_b^k x_c -> 0 for every k, so it never closes
+    assert main(["env", str(path), "--quotient", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and "did not close" in line
+
+
+def env_lines(argv, capsys):
+    assert main(["env", *argv]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_env_quotient_prints_the_closed_rules(l2f3_file, capsys):
+    """The rules of the closure follow the nilpotent line, in the order of
+    --json; without them two quotients could print the same text."""
+    det = "x[1,1]*x[2,2] - x[2,1]*x[1,2]"
+    lines = env_lines([l2f3_file, "--quotient", det], capsys)
+    start = next(i for i, line in enumerate(lines) if line.startswith("nilpotent")) + 1
+    rules = lines[start:-1]
+    assert rules[:3] == ["x[1,2] -> 0", "x[2,1] -> 0", "x[1,1]*x[2,2] -> (1)"]
+    assert rules[-1] == "x[1,1]*x[2,2]*x[2,2] -> (1)*x[2,2]"
+    assert main(["env", l2f3_file, "--quotient", det, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    labels = AlgebraSpec.from_json(open(l2f3_file).read()).basis
+    assert [rule.split(" -> ")[0] for rule in rules] == \
+        ["*".join(labels[g] for g in rule["lhs"]) for rule in data["rules"]]
+    squared = env_lines([l2f3_file, "--quotient", f"({det})^2"], capsys)
+    assert squared[-2] == "x[1,1]*x[1,1]*x[2,2]*x[2,2] -> (1)"
+    # without --quotient no rule line is printed
+    assert not any(" -> " in line for line in env_lines([l2f3_file], capsys))
+
+
+@pytest.mark.parametrize("n, poly, defect", [
+    ("3", "x[1,1]", "(1)*x[1,2](x)x[2,1]"),
+    # at n=2, x[2,2] x[1,2] = x[1,2] x[2,2]: the determinant is not grouplike
+    ("2", "x[1,1]*x[2,2] - x[2,1]*x[1,2]", "(2)*x[1,2]*x[2,2](x)x[2,1]*x[2,2]"),
+])
+def test_env_quotient_refuses_an_element_that_is_not_grouplike(tmp_path, n, poly, defect):
+    """--quotient once checked only centrality, so both closed with exit 0."""
+    spec = str(tmp_path / "spec.json")
+    assert run_cli("make-matrix", "--N", "2", "--n", n, "--f", "0,1", "-o", spec).returncode == 0
+    proc = run_cli("env", spec, "--quotient", poly)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line == f"error: the --quotient element is not grouplike: delta(p) - p(x)p = {defect}"
+
+
+def test_env_prints_divergent_words_in_labels(tmp_path, capsys):
+    """Divergence lines once printed index tuples and x2*x3*x5."""
+    path = tmp_path / "d3.json"
+    assert main(["make-matrix", "--N", "3", "--n", "3", "--f", "0,0,1", "-o", str(path)]) == 0
+    capsys.readouterr()
+    lines = env_lines([str(path)], capsys)
+    assert lines[-6:-4] == ["NOT confluent (108 divergent words)",
+                            "  word x[1,3]*x[2,3]*x[2,1]: normal forms 0; (1)*x[1,3]*x[2,1]*x[2,3]"]
 
 
 def run_cli(*args, opts=()):
@@ -322,13 +374,15 @@ def test_quotient_dangling_operator_exits_2(l2f3_file, poly):
 
 def test_quotient_sign_after_star_negates_the_factor(l2f3_file):
     """A sign right after '*' once exited 2 as a dangling operator, and
-    before that read "x * - y" as "x - y"; it negates the next factor."""
+    before that read "x * - y" as "x - y"; it negates the next factor.
+    None of the three is grouplike, so each refusal names its defect."""
     starred = run_cli("env", l2f3_file, "--json", "--quotient", "x[1,1] * - x[2,2]")
     bracketed = run_cli("env", l2f3_file, "--json", "--quotient", "x[1,1]*(-x[2,2])")
     misread = run_cli("env", l2f3_file, "--json", "--quotient", "x[1,1] - x[2,2]")
-    assert starred.returncode == bracketed.returncode == misread.returncode == 0
-    assert starred.stdout == bracketed.stdout
-    assert starred.stdout != misread.stdout
+    assert starred.returncode == bracketed.returncode == misread.returncode == 2
+    assert len(starred.stderr.splitlines()) == len(misread.stderr.splitlines()) == 1
+    assert starred.stderr == bracketed.stderr
+    assert starred.stderr != misread.stderr
 
 
 def test_poly_parser_reads_well_formed_input(l2f3_file):
@@ -346,14 +400,17 @@ def test_poly_parser_reads_well_formed_input(l2f3_file):
 
 def test_quotient_minus_then_plus_keeps_the_minus(tmp_path):
     """The flat parser let a '+' reset a pending '-', so this quotient was
-    the one by x[1,1]*x[2,2] + x[2,1]*x[1,2].  At n=2 the two quotients
-    have different rules (at n=3 they coincide)."""
+    the one by x[1,1]*x[2,2] + x[2,1]*x[1,2].  At n=2 neither is grouplike,
+    and the two refusals name different defects."""
     spec = str(tmp_path / "l2f2.json")
     assert run_cli("make-matrix", "--N", "2", "--n", "2", "--f", "0,1", "-o", spec).returncode == 0
     plain = run_cli("env", spec, "--json", "--quotient", "x[1,1]*x[2,2] - x[2,1]*x[1,2]")
     signed = run_cli("env", spec, "--json", "--quotient", "x[1,1]*x[2,2] - + x[2,1]*x[1,2]")
-    assert plain.returncode == signed.returncode == 0
-    assert signed.stdout == plain.stdout
+    plus = run_cli("env", spec, "--json", "--quotient", "x[1,1]*x[2,2] + x[2,1]*x[1,2]")
+    assert plain.returncode == signed.returncode == plus.returncode == 2
+    assert len(signed.stderr.splitlines()) == 1
+    assert signed.stderr == plain.stderr
+    assert signed.stderr != plus.stderr
 
 
 @pytest.mark.parametrize("word", ["x[1,3],x[2,1],x[2,3]", "x[1,3],x[2,3],x[2,1]"])

@@ -22,7 +22,7 @@ def test_ncpoly_arithmetic():
     assert (p - p).is_zero()
     assert NCPoly.one() * p == p
     assert (2 * p).terms[(B,)] == 4
-    assert "x0" in NCPoly.word((0,)).render()
+    assert p.render(("a", "b", "c")) == "(2)*b + (1)*a*b"
 
 
 def test_generated_relations_worked_examples(l2f3, l2f2):
@@ -143,7 +143,9 @@ def test_inconsistent_system_divergence_witness(l2f3):
     word, forms = report.divergences[0]
     assert (D, B) == word[-2:] or (D, B) == word[:2]
     assert len(forms) == 2
-    assert "NOT confluent" in str(report)
+    lines = report.render("abcd").splitlines()
+    assert lines[:2] == ["NOT confluent (9 divergent words)",
+                         "  word d*b: normal forms (-1-z3)*b*d; (1)*b*d"]
 
 
 def test_shape_errors():
@@ -176,7 +178,7 @@ def test_delta_on_products_examples(l2f3, l2f3_rs, l2f2, l2f2_rs):
         l2f3, {(w1, w2): v1 * v2 for w1, v1 in nf.terms.items()
                for w2, v2 in nf.terms.items()}).normalized(l2f3_rs)
     assert delta == square
-    assert is_grouplike(l2f3, l2f3_rs, det)
+    assert is_grouplike(l2f3, l2f3_rs, det) == (True, [])
     assert delta_on_products(l2f3, l2f3_rs, NCPoly.one()) == TensorSquarePoly.unit(l2f3)
     assert delta_on_products(l2f2, l2f2_rs, NCPoly.word((B, B))).is_zero()
 
@@ -193,6 +195,19 @@ def test_delta_homomorphism_law(l2f3, l2f3_rs, l2f2, l2f2_rs, l3f, l3f_rs,
             rhs = (delta_on_products(spec, rs, u)
                    * delta_on_products(spec, rs, v)).normalized(rs)
             assert lhs == rhs, (spec.basis, u, v)
+
+
+def test_is_grouplike_names_the_defect(l2f3, l2f3_rs, l2f2_rs, l2f2):
+    """At n=2, x[2,2] x[1,2] = x[1,2] x[2,2], so ad - cb is not grouplike;
+    a generator is not grouplike either, and 0 has counit 0."""
+    det = NCPoly({(A, D): ONE, (C, B): -ONE})
+    ok, witnesses = is_grouplike(l2f2, l2f2_rs, det)
+    assert not ok
+    assert [(name, w.render()) for name, w in witnesses] == \
+        [("delta", "(2)*x[1,2]*x[2,2](x)x[2,1]*x[2,2]")]
+    ok, witnesses = is_grouplike(l2f3, l2f3_rs, NCPoly.word((A,)))
+    assert [(name, w.render()) for name, w in witnesses] == [("delta", "(1)*x[1,2](x)x[2,1]")]
+    assert is_grouplike(l2f3, l2f3_rs, NCPoly.zero()) == (False, [("counit", CycNum.zero())])
 
 
 def test_counit_on_products(l2f3, l2f3_rs):

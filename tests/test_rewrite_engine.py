@@ -124,8 +124,7 @@ def test_elimination_matches_pairwise_orientation(sl2_ansatz, super_ansatz):
             refused += 1
             continue
         compared += 1
-        assert [(r.lhs, r.rhs.render()) for r in rs.rules] == \
-            [(r.lhs, r.rhs.render()) for r in old.rules], name
+        assert rs.rules == old.rules, name
     assert compared > 1000 and refused > 0
 
 

@@ -1,12 +1,11 @@
 """Properties of the shared sparse linear-combination core, checked on
-all four kinds of combination: algebra elements, enveloping-algebra
-polynomials, the braided tensor square and the anyspace."""
+all three kinds of combination: enveloping-algebra polynomials, the
+braided tensor square and the anyspace."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anylie.algebra import Element
 from anylie.anyspace import ThetaPoly
 from anylie.constructions import build_matrix_type
 from anylie.cyclotomic import CycNum
@@ -22,7 +21,6 @@ words = st.lists(st.integers(0, 3), max_size=3).map(tuple)
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))
 
 SPACES = {
-    "Element": (st.integers(0, 5), Element),
     "NCPoly": (words, NCPoly),
     "TensorSquarePoly": (st.tuples(words, words), lambda t: TensorSquarePoly(SPEC, t)),
     "ThetaPoly": (exponents, lambda t: ThetaPoly(4, 2, t)),
