@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, Contraction
 from .cyclotomic import CycNum
 from .sparse import LinComb, accumulate, nonzero
 
@@ -134,24 +134,17 @@ class Rule:
     rhs: NCPoly
 
 
+# the right side of x^mu x^nu, keyed (mu, nu, gamma, beta) for x^gamma x^beta
+_RELATION = Contraction("d[mab] c[ang]", "mngb", "beta[bn]")
+
+
 def generate_relations(spec: AlgebraSpec):
     """The quadratic presentation of the enveloping algebra, one relation
     x^mu x^nu = rhs per ordered generator pair, in lexicographic pair order."""
-    p = spec.degrees
-    relations = []
-    for mu in range(spec.dim):
-        row = spec._d_rows.get(mu, ())
-        for nu in range(spec.dim):
-            rhs = {}
-            for (alpha, beta, dv) in row:
-                crow = spec._c_by_pair.get((alpha, nu))
-                if not crow:
-                    continue
-                ph = spec.bichar.phase(p[beta], p[nu]) * dv
-                for (gamma, cv) in crow:
-                    accumulate(rhs, (gamma, beta), ph * cv)
-            relations.append(Rule((mu, nu), NCPoly(rhs)))
-    return relations
+    rhs = {(mu, nu): {} for mu in range(spec.dim) for nu in range(spec.dim)}
+    for (mu, nu, gamma, beta), val in _RELATION(spec).items():
+        rhs[(mu, nu)][(gamma, beta)] = val
+    return [Rule(pair, NCPoly(terms)) for pair, terms in rhs.items()]
 
 
 @dataclass
@@ -484,8 +477,8 @@ def delta_on_products(spec: AlgebraSpec, rs: RewriteSystem, poly: NCPoly) -> Ten
     for word, coeff in poly.terms.items():
         acc = TensorSquarePoly.unit(spec)
         for g in word:
-            factor = TensorSquarePoly(
-                spec, {((nu,), (rho,)): val for (nu, rho, val) in spec._d_rows.get(g, ())})
+            legs = spec.rows("d", (0,)).get((g,), ())
+            factor = TensorSquarePoly(spec, {((nu,), (rho,)): v for (_, nu, rho), v in legs})
             acc = acc * factor
         total = total + acc.scaled(coeff)
     return total.normalized(rs)

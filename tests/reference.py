@@ -5,9 +5,11 @@ import cmath
 from fractions import Fraction
 from math import gcd
 
-from anylie.algebra import AlgebraSpec, SpecFormatError
+from anylie.algebra import (AlgebraSpec, AxiomReport, CheckResult, SpecFormatError, Witness,
+                            check_grading)
 from anylie.anyspace import ExprError, ThetaPoly
 from anylie.cli import _match_label
+from anylie.constructions import _ansatz_data
 from anylie.cyclotomic import CycNum, cyclotomic_polynomial, q_binomial, root_of_unity
 from anylie.envelope import NCPoly, RewriteSystem, Rule
 from anylie.sparse import accumulate, nonzero
@@ -567,3 +569,270 @@ def parse_theta_expr(src: str, n: int, vars: int = None) -> ThetaPoly:
     if pos != len(tokens):
         raise ExprError(f"trailing input from token {tokens[pos]!r}")
     return result
+
+
+# The hand-written contraction loops that `anylie.algebra.Contraction`
+# replaced: the five contraction checks of `verify_all`, the antisymmetry
+# info, the relation loop of `generate_relations` and the dense Jacobi
+# loop of `check_ansatz_reduction`.  The bodies are copied unchanged; the
+# four row indexes they read, once built by `AlgebraSpec`, are built here
+# by `_spec_indexes`.  The reference for tests/test_contraction.py.
+
+def _spec_indexes(spec):
+    """The row indexes `AlgebraSpec` used to build: d by first index, and c
+    by first index, by (first, second) pair and by second index."""
+    d_rows = {}
+    for (mu, nu, rho), val in spec.d.items():
+        d_rows.setdefault(mu, []).append((nu, rho, val))
+    c_by_first, c_by_pair, c_by_second = {}, {}, {}
+    for (mu, nu, rho), val in spec.c.items():
+        c_by_first.setdefault(mu, []).append((nu, rho, val))
+        c_by_pair.setdefault((mu, nu), []).append((rho, val))
+        c_by_second.setdefault(nu, []).append((mu, rho, val))
+    return d_rows, c_by_first, c_by_pair, c_by_second
+
+
+def ref_check_coalgebra(spec: AlgebraSpec) -> AxiomReport:
+    """Coassociativity and both counit identities of the d, eps data."""
+    d_rows, _, _, _ = _spec_indexes(spec)
+    lhs, rhs = {}, {}
+    for (mu, alpha, lam), v1 in spec.d.items():
+        for (nu, rho, v2) in d_rows.get(alpha, ()):
+            accumulate(lhs, (mu, nu, rho, lam), v1 * v2)
+    for (mu, nu, alpha), v1 in spec.d.items():
+        for (rho, lam, v2) in d_rows.get(alpha, ()):
+            accumulate(rhs, (mu, nu, rho, lam), v1 * v2)
+    coassoc = _ref_compare_sparse(lhs, rhs)
+
+    counit_w = []
+    dim = spec.dim
+    for mu in range(dim):
+        left = {}
+        right = {}
+        for (nu, rho, val) in d_rows.get(mu, ()):
+            e_nu = spec.eps.get(nu)
+            if e_nu is not None:
+                accumulate(left, rho, e_nu * val)
+            e_rho = spec.eps.get(rho)
+            if e_rho is not None:
+                accumulate(right, nu, e_rho * val)
+        for nu in range(dim):
+            want = CycNum.one() if nu == mu else CycNum.zero()
+            got_l = left.get(nu, CycNum.zero())
+            got_r = right.get(nu, CycNum.zero())
+            if got_l != want:
+                counit_w.append(Witness((mu, nu), got_l, want, "(eps x id) o delta"))
+            if got_r != want:
+                counit_w.append(Witness((mu, nu), got_r, want, "(id x eps) o delta"))
+    return AxiomReport([
+        CheckResult("coassociativity", not coassoc, coassoc),
+        CheckResult("counit", not counit_w, counit_w),
+    ])
+
+
+def ref_check_bracket_counit(spec: AlgebraSpec) -> AxiomReport:
+    """eps([x^mu, x^nu]) = eps(x^mu) eps(x^nu) for all pairs."""
+    _, _, c_by_pair, _ = _spec_indexes(spec)
+    witnesses = []
+    dim = spec.dim
+    zero = CycNum.zero()
+    for mu in range(dim):
+        e_mu = spec.eps.get(mu, zero)
+        for nu in range(dim):
+            got = zero
+            for (rho, val) in c_by_pair.get((mu, nu), ()):
+                e_rho = spec.eps.get(rho)
+                if e_rho is not None:
+                    got = got + val * e_rho
+            want = e_mu * spec.eps.get(nu, zero)
+            if got != want:
+                witnesses.append(Witness((mu, nu), got, want))
+    return AxiomReport([CheckResult("bracket_counit", not witnesses, witnesses)])
+
+
+def ref_check_delta_bracket(spec: AlgebraSpec) -> AxiomReport:
+    """Multiplicativity of the coproduct over the bracket."""
+    d_rows, _, c_by_pair, _ = _spec_indexes(spec)
+    lhs, rhs = {}, {}
+    for (mu, nu, alpha), cv in spec.c.items():
+        for (rho, lam, dv) in d_rows.get(alpha, ()):
+            accumulate(lhs, (mu, nu, rho, lam), cv * dv)
+    p = spec.degrees
+    for mu, row_mu in d_rows.items():
+        for (alpha, beta, dv1) in row_mu:
+            for nu, row_nu in d_rows.items():
+                for (gamma, delta, dv2) in row_nu:
+                    c_bd = c_by_pair.get((beta, delta))
+                    if not c_bd:
+                        continue
+                    c_ag = c_by_pair.get((alpha, gamma))
+                    if not c_ag:
+                        continue
+                    ph = spec.bichar.phase(p[beta], p[gamma]) * dv1 * dv2
+                    for (lam, cv1) in c_bd:
+                        for (rho, cv2) in c_ag:
+                            accumulate(rhs, (mu, nu, rho, lam), ph * cv1 * cv2)
+    witnesses = _ref_compare_sparse(lhs, rhs)
+    return AxiomReport([CheckResult("delta_bracket", not witnesses, witnesses)])
+
+
+def ref_check_cocommutation(spec: AlgebraSpec) -> AxiomReport:
+    """Braided symmetry of the coproduct legs against the bracket."""
+    _, c_by_first, _, _ = _spec_indexes(spec)
+    lhs, rhs = {}, {}
+    p = spec.degrees
+    for (mu, lam, alpha), dv in spec.d.items():
+        crow = c_by_first.get(alpha)
+        if crow:
+            for (nu, rho, cv) in crow:
+                accumulate(lhs, (mu, nu, rho, lam), dv * cv)
+    for (mu, alpha, lam), dv in spec.d.items():
+        crow = c_by_first.get(alpha)
+        if crow:
+            for (nu, rho, cv) in crow:
+                ph = spec.bichar.phase(p[lam], p[nu], 2) * spec.bichar.phase(p[lam], p[alpha])
+                accumulate(rhs, (mu, nu, rho, lam), ph * dv * cv)
+    witnesses = _ref_compare_sparse(lhs, rhs)
+    notes = []
+    if spec.group.rank != 1:
+        notes.append("phase read as beta(p(lam),p(nu))^2 * beta(p(lam),p(a)) "
+                     "in bicharacter mode")
+    return AxiomReport([CheckResult("cocommutation", not witnesses, witnesses, notes)])
+
+
+def ref_check_braided_jacobi(spec: AlgebraSpec) -> AxiomReport:
+    """The braided Jacobi identity, exhaustive over all index tuples."""
+    d_rows, c_by_first, c_by_pair, c_by_second = _spec_indexes(spec)
+    lhs, rhs = {}, {}
+    p = spec.degrees
+    for (mu, nu, alpha), cv1 in spec.c.items():
+        for (rho, lam, cv2) in c_by_second.get(alpha, ()):
+            accumulate(lhs, (mu, nu, rho, lam), cv1 * cv2)
+    for rho, row_rho in d_rows.items():
+        for (alpha, beta, dv) in row_rho:
+            row_a = c_by_first.get(alpha)
+            row_b = c_by_first.get(beta)
+            if not row_a or not row_b:
+                continue
+            for (mu, gamma, cv1) in row_a:
+                ph = spec.bichar.phase(p[beta], p[mu]) * dv * cv1
+                for (nu, delta, cv2) in row_b:
+                    c_gd = c_by_pair.get((gamma, delta))
+                    if not c_gd:
+                        continue
+                    for (lam, cv3) in c_gd:
+                        accumulate(rhs, (mu, nu, rho, lam), ph * cv2 * cv3)
+    witnesses = _ref_compare_sparse(lhs, rhs)
+    return AxiomReport([CheckResult("braided_jacobi", not witnesses, witnesses)])
+
+
+def ref_check_antisymmetry_info(spec: AlgebraSpec) -> CheckResult:
+    """Optional braided antisymmetry of the bracket."""
+    lhs, rhs = {}, {}
+    p = spec.degrees
+    for (mu, nu, rho), cv in spec.c.items():
+        lhs[(mu, nu, rho)] = cv
+    for (nu, mu, rho), cv in spec.c.items():
+        rhs[(mu, nu, rho)] = -(spec.bichar.phase(p[mu], p[nu]) * cv)
+    witnesses = _ref_compare_sparse(lhs, rhs)
+    return CheckResult("antisymmetry", not witnesses, witnesses)
+
+
+def _ref_compare_sparse(lhs: dict, rhs: dict) -> list:
+    """Witnesses where two sparse tensors differ; absent keys are zero."""
+    witnesses = []
+    for key in sorted(set(lhs) | set(rhs)):
+        lv = lhs.get(key, CycNum.zero())
+        rv = rhs.get(key, CycNum.zero())
+        if lv != rv:
+            witnesses.append(Witness(key, lv, rv))
+    return witnesses
+
+
+def ref_verify_all(spec: AlgebraSpec) -> AxiomReport:
+    """`verify_all` over the reference checks; the grading check, which
+    contracts nothing, is the library's."""
+    report = check_grading(spec)
+    report = report.merged(ref_check_coalgebra(spec))
+    report = report.merged(ref_check_bracket_counit(spec))
+    report = report.merged(ref_check_delta_bracket(spec))
+    report = report.merged(ref_check_cocommutation(spec))
+    report = report.merged(ref_check_braided_jacobi(spec))
+    report.info.append(ref_check_antisymmetry_info(spec))
+    return report
+
+
+def ref_generate_relations(spec: AlgebraSpec):
+    """The quadratic presentation of the enveloping algebra, one relation
+    x^mu x^nu = rhs per ordered generator pair, in lexicographic pair order."""
+    d_rows, _, c_by_pair, _ = _spec_indexes(spec)
+    p = spec.degrees
+    relations = []
+    for mu in range(spec.dim):
+        row = d_rows.get(mu, ())
+        for nu in range(spec.dim):
+            rhs = {}
+            for (alpha, beta, dv) in row:
+                crow = c_by_pair.get((alpha, nu))
+                if not crow:
+                    continue
+                ph = spec.bichar.phase(p[beta], p[nu]) * dv
+                for (gamma, cv) in crow:
+                    accumulate(rhs, (gamma, beta), ph * cv)
+            relations.append(Rule((mu, nu), NCPoly(rhs)))
+    return relations
+
+
+def ref_check_ansatz_reduction(bichar, degrees, c) -> AxiomReport:
+    """The reduced conditions for the ansatz, evaluated on g alone, with
+    the dense Jacobi loop."""
+    group = bichar.group
+    p, c = _ansatz_data(bichar, degrees, c)
+    g = len(p)
+    p = (None,) + p  # 1-based
+    zero = CycNum.zero()
+
+    phase_w = []
+    for i in range(1, g + 1):
+        for j in range(1, g + 1):
+            ph = bichar.phase(p[i], p[j]) ** 2
+            if not ph.is_one():
+                phase_w.append(Witness((i, j), ph, CycNum.one()))
+
+    jacobi_w = []
+    for i in range(1, g + 1):
+        for j in range(1, g + 1):
+            for k in range(1, g + 1):
+                for l in range(1, g + 1):
+                    lhs = zero
+                    for a in range(1, g + 1):
+                        v1 = c.get((i, j, a))
+                        v2 = c.get((k, a, l))
+                        if v1 is not None and v2 is not None:
+                            lhs = lhs + v1 * v2
+                    rhs = zero
+                    for a in range(1, g + 1):
+                        v1 = c.get((k, i, a))
+                        v2 = c.get((a, j, l))
+                        if v1 is not None and v2 is not None:
+                            rhs = rhs + v1 * v2
+                    ph = bichar.phase(p[k], p[i])
+                    for a in range(1, g + 1):
+                        v1 = c.get((k, j, a))
+                        v2 = c.get((i, a, l))
+                        if v1 is not None and v2 is not None:
+                            rhs = rhs + ph * v1 * v2
+                    if lhs != rhs:
+                        jacobi_w.append(Witness((i, j, k, l), lhs, rhs))
+
+    homog_w = []
+    for (i, j, k) in sorted(c):
+        want = group.add(p[i], p[j])
+        if p[k] != want:
+            homog_w.append(Witness((i, j, k), p[k], want, "c entry breaks degrees"))
+
+    return AxiomReport([
+        CheckResult("ansatz_phase_condition", not phase_w, phase_w),
+        CheckResult("ansatz_jacobi_condition", not jacobi_w, jacobi_w),
+        CheckResult("ansatz_c_homogeneous", not homog_w, homog_w),
+    ])

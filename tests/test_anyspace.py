@@ -4,9 +4,9 @@ import pytest
 
 from anylie.anyspace import (ExprError, ThetaPoly, antipode, braided_derivative,
                              braided_integral, coproduct, counit, parse_theta_expr)
-from anylie.cyclotomic import CycNum, q_binomial, root_of_unity
+from anylie.cyclotomic import CycNum, q_binomial, q_integer, root_of_unity
 
-from conftest import ONE, z
+from conftest import ONE, random_cyc, z
 from reference import antipode_recursive, widened
 
 
@@ -168,6 +168,26 @@ def test_coassociativity_three_fold():
                 left = left + (((t1 + t2) ** i) * (t3 ** j)).scaled(v)
                 right = right + ((t1 ** i) * ((t2 + t3) ** j)).scaled(v)
             assert left == right == ((t1 + t2 + t3) ** k), (n, k)
+
+
+def test_braided_taylor_theorem():
+    """f(t1 + t2) = sum_{k<n} t1^k (d^k f)(t2) / [k]_q! with q = zeta_n, on
+    random f: the coproduct is the braided Taylor expansion of f, each
+    term built from the derivative as it is."""
+    rng = random.Random(11)
+    for n in range(2, 17):
+        q = z(n)
+        for _ in range(3):
+            f = ThetaPoly(n, 1, {(k,): random_cyc(rng) for k in range(n) if rng.random() < 0.6})
+            taylor = ThetaPoly.zero(n, 2)
+            derivative, factorial = f, ONE
+            for k in range(n):
+                if k:
+                    derivative = braided_derivative(derivative)
+                    factorial = factorial * q_integer(k, q)
+                term = ThetaPoly.monomial(n, (k, 0)) * widened(derivative, 2, offset=1)
+                taylor = taylor + term.scaled(factorial.inverse())
+            assert coproduct(f) == taylor, (n, f)
 
 
 def test_counit_law():
