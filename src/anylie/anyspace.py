@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .cyclotomic import CycNum, q_integer, root_of_unity
+from .cyclotomic import CycNum, checked_integers, q_integer, root_of_unity
 from .expr import ExprError, parse_expr
 from .sparse import LinComb, accumulate, nonzero
 
@@ -49,6 +49,7 @@ class ThetaPoly(LinComb):
     _context = ("n", "vars")
 
     def __init__(self, n: int, vars: int, terms=()):
+        n, vars = checked_integers((n, vars), "modulus n and slot count")
         if n < 1:
             raise ValueError("modulus n must be >= 1")
         if vars < 1:
@@ -57,16 +58,14 @@ class ThetaPoly(LinComb):
         self.vars = vars
         out = {}
         for exps, val in dict(terms).items():
-            exps = tuple(int(e) for e in exps)
+            exps = checked_integers(exps, "exponents")
             if len(exps) != vars:
                 raise ValueError(f"exponent tuple {exps} does not have {vars} slots")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponents are not allowed")
             if any(e >= n for e in exps):
                 continue  # t^n = 0
-            val = CycNum.promote(val)
-            if not val.is_zero():
-                accumulate(out, exps, val)
+            accumulate(out, exps, CycNum.promote(val))
         self.terms = nonzero(out)
 
     @classmethod
@@ -93,31 +92,18 @@ class ThetaPoly(LinComb):
     def _shape(self):
         return (self.n, self.vars)
 
-    def __mul__(self, other):
-        """Braided product: slots stay ordered, and each unit of slot j in
-        the left factor crossing a unit of slot i < j in the right factor
-        contributes a zeta_n phase."""
-        if isinstance(other, (int, CycNum)):
-            return self.scaled(other)
-        self._check_shape(other)
+    def _times(self, a, b):
+        """Braided product of monomials: slots stay ordered, and each unit
+        of slot j in a crossing a unit of slot i < j in b costs zeta_n."""
         n = self.n
-        zeta = root_of_unity(n, 1)
-        out = {}
-        for a, va in self.terms.items():
-            for b, vb in other.terms.items():
-                exps = tuple(x + y for x, y in zip(a, b))
-                if any(e >= n for e in exps):
-                    continue
-                crossings = 0
-                for j in range(1, self.vars):
-                    if a[j]:
-                        for i in range(j):
-                            crossings += a[j] * b[i]
-                val = va * vb
-                if crossings % n:
-                    val = val * root_of_unity(n, crossings)
-                accumulate(out, exps, val)
-        return self._raw(nonzero(out))
+        exps = tuple(x + y for x, y in zip(a, b))
+        if any(e >= n for e in exps):
+            return None, None
+        crossings = sum(a[j] * b[i] for j in range(1, len(a)) if a[j] for i in range(j))
+        return exps, (root_of_unity(n, crossings) if crossings % n else None)
+
+    # an own entry, so that tools hooking methods by class attribute find it
+    __mul__ = LinComb.__mul__
 
     def _unit_key(self):
         return (0,) * self.vars

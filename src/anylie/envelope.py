@@ -103,14 +103,8 @@ class NCPoly(LinComb):
     def _unit_key(self):
         return ()
 
-    def __mul__(self, other):
-        if isinstance(other, (int, CycNum)):
-            return self.scaled(other)
-        out = {}
-        for w1, v1 in self.terms.items():
-            for w2, v2 in other.terms.items():
-                accumulate(out, w1 + w2, v1 * v2)
-        return self._raw(nonzero(out))
+    def _times(self, a, b):
+        return a + b, None
 
     def render(self, labels) -> str:
         if not self.terms:
@@ -375,13 +369,15 @@ def _orient(row: NCPoly, word_key) -> Rule:
 
 
 def _eliminate(system: RewriteSystem, rows) -> RewriteSystem:
-    """`system` extended by the relations row = 0, interreduced.
+    """`system` extended by the relations row = 0.
 
     Gauss-Jordan elimination over words: each row, in the given order, is
     reduced by the rules so far and oriented at its largest word.  Then
     every right side is brought to normal form.  For quadratic rows added
     to an empty system the result is the reduced row-echelon basis of
-    their span, which is unique.
+    their span, which is unique.  A rule whose left side contains another
+    left side is kept (the n=3 determinant quotient has 15 rules where 4
+    suffice); ROADMAP item 3 is to drop such rules here.
     """
     work = RewriteSystem(system.ngens, system.rules, system.order)
     for row in rows:
@@ -423,9 +419,8 @@ class TensorSquarePoly(LinComb):
         self.terms = nonzero({(tuple(w1), tuple(w2)): CycNum.promote(val)
                               for (w1, w2), val in dict(terms).items()})
 
-    @classmethod
-    def unit(cls, spec) -> "TensorSquarePoly":
-        return cls(spec, {((), ()): CycNum.one()})
+    def _unit_key(self):
+        return ((), ())
 
     def word_degree(self, word):
         group = self.spec.group
@@ -434,17 +429,15 @@ class TensorSquarePoly(LinComb):
             total = group.add(total, self.spec.degrees[g])
         return total
 
-    def __mul__(self, other):
+    def _shape(self):
+        return (self.spec.bichar, self.spec.degrees)
+
+    def _times(self, a, b):
         """Braided product: (u1 (x) u2)(v1 (x) v2) =
         beta(|u2|, |v1|) u1 v1 (x) u2 v2."""
-        bi = self.spec.bichar
-        out = {}
-        for (u1, u2), cu in self.terms.items():
-            d_u2 = self.word_degree(u2)
-            for (v1, v2), cv in other.terms.items():
-                ph = bi.phase(d_u2, self.word_degree(v1))
-                accumulate(out, (u1 + v1, u2 + v2), ph * cu * cv)
-        return self._raw(nonzero(out))
+        (u1, u2), (v1, v2) = a, b
+        return (u1 + v1, u2 + v2), self.spec.bichar.phase(self.word_degree(u2),
+                                                          self.word_degree(v1))
 
     def normalized(self, rs: RewriteSystem) -> "TensorSquarePoly":
         out = {}
@@ -475,7 +468,7 @@ def delta_on_products(spec: AlgebraSpec, rs: RewriteSystem, poly: NCPoly) -> Ten
     phase; both tensor legs are returned in normal form."""
     total = TensorSquarePoly(spec)
     for word, coeff in poly.terms.items():
-        acc = TensorSquarePoly.unit(spec)
+        acc = TensorSquarePoly(spec) ** 0
         for g in word:
             legs = spec.rows("d", (0,)).get((g,), ())
             factor = TensorSquarePoly(spec, {((nu,), (rho,)): v for (_, nu, rho), v in legs})

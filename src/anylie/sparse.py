@@ -1,11 +1,11 @@
-"""Sparse linear combinations over Q(zeta_m).
+"""Sparse linear combinations over Q(zeta_m) and their one product.
 
 Polynomials in the enveloping algebra, its braided tensor square and the
-anyspace are all finite sums of keys with cyclotomic coefficients.  This
-module is the one place that knows how such a sum is stored: a dict from
-key to nonzero `CycNum`.  `LinComb` carries the vector-space operations;
-each subclass adds only its key normalisation, its product rule, its
-context and its rendering.
+anyspace are all finite sums of keys with cyclotomic coefficients, stored
+as a dict from key to nonzero `CycNum`.  Each product joins two keys
+into one; in the tensor square and the anyspace, factors that cross pick
+up the braiding phase of their degrees.  `LinComb.__mul__` sums over
+pairs of terms; a subclass says only how two keys multiply (`_times`).
 """
 
 from __future__ import annotations
@@ -27,12 +27,14 @@ def nonzero(d: dict) -> dict:
 
 
 class LinComb:
-    """A sparse map key -> nonzero CycNum with the vector-space operations.
+    """A sparse map key -> nonzero CycNum with the vector-space operations
+    and the product.
 
     `_context` names the slots, besides `terms`, that a result inherits
     from its left operand; `_shape` is what two operands must share.  A
-    subclass with a product defines `__mul__` and `_unit_key`, the key of
-    its unit, and gets `**`.
+    subclass with a product defines `_times(a, b)`, the product key of
+    keys a and b (None if it is zero) and its phase (None if there is
+    none), and `_unit_key`, the key of its unit; it gets `*` and `**`.
     """
 
     __slots__ = ("terms",)
@@ -77,6 +79,22 @@ class LinComb:
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
+
+    def __mul__(self, other):
+        """A scalar scales; each pair of terms of a combination of the same
+        shape adds va * vb, times its phase, under their product key."""
+        if not isinstance(other, LinComb):
+            return self.scaled(other)
+        self._check_shape(other)
+        times = self._times
+        out = {}
+        for a, va in self.terms.items():
+            for b, vb in other.terms.items():
+                key, phase = times(a, b)
+                if key is not None:
+                    val = va * vb
+                    accumulate(out, key, val if phase is None else val * phase)
+        return self._raw(nonzero(out))
 
     def __pow__(self, k: int):
         """Binary exponentiation, starting from the unit."""

@@ -836,3 +836,56 @@ def ref_check_ansatz_reduction(bichar, degrees, c) -> AxiomReport:
         CheckResult("ansatz_jacobi_condition", not jacobi_w, jacobi_w),
         CheckResult("ansatz_c_homogeneous", not homog_w, homog_w),
     ])
+
+
+# The three hand-written products that `LinComb.__mul__` replaced, one per
+# kind of combination.  The bodies are copied unchanged, with `self` the
+# left operand, except that an unused `zeta` is dropped from `theta_mul`.  The reference for tests/test_sparse.py.
+
+def ncpoly_mul(self, other):
+    if isinstance(other, (int, CycNum)):
+        return self.scaled(other)
+    out = {}
+    for w1, v1 in self.terms.items():
+        for w2, v2 in other.terms.items():
+            accumulate(out, w1 + w2, v1 * v2)
+    return self._raw(nonzero(out))
+
+
+def tensor_square_mul(self, other):
+    """Braided product: (u1 (x) u2)(v1 (x) v2) =
+    beta(|u2|, |v1|) u1 v1 (x) u2 v2."""
+    bi = self.spec.bichar
+    out = {}
+    for (u1, u2), cu in self.terms.items():
+        d_u2 = self.word_degree(u2)
+        for (v1, v2), cv in other.terms.items():
+            ph = bi.phase(d_u2, self.word_degree(v1))
+            accumulate(out, (u1 + v1, u2 + v2), ph * cu * cv)
+    return self._raw(nonzero(out))
+
+
+def theta_mul(self, other):
+    """Braided product: slots stay ordered, and each unit of slot j in
+    the left factor crossing a unit of slot i < j in the right factor
+    contributes a zeta_n phase."""
+    if isinstance(other, (int, CycNum)):
+        return self.scaled(other)
+    self._check_shape(other)
+    n = self.n
+    out = {}
+    for a, va in self.terms.items():
+        for b, vb in other.terms.items():
+            exps = tuple(x + y for x, y in zip(a, b))
+            if any(e >= n for e in exps):
+                continue
+            crossings = 0
+            for j in range(1, self.vars):
+                if a[j]:
+                    for i in range(j):
+                        crossings += a[j] * b[i]
+            val = va * vb
+            if crossings % n:
+                val = val * root_of_unity(n, crossings)
+            accumulate(out, exps, val)
+    return self._raw(nonzero(out))

@@ -179,7 +179,7 @@ def test_delta_on_products_examples(l2f3, l2f3_rs, l2f2, l2f2_rs):
                for w2, v2 in nf.terms.items()}).normalized(l2f3_rs)
     assert delta == square
     assert is_grouplike(l2f3, l2f3_rs, det) == (True, [])
-    assert delta_on_products(l2f3, l2f3_rs, NCPoly.one()) == TensorSquarePoly.unit(l2f3)
+    assert delta_on_products(l2f3, l2f3_rs, NCPoly.one()) == TensorSquarePoly(l2f3) ** 0
     assert delta_on_products(l2f2, l2f2_rs, NCPoly.word((B, B))).is_zero()
 
 

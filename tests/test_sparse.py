@@ -2,6 +2,8 @@
 all three kinds of combination: enveloping-algebra polynomials, the
 braided tensor square and the anyspace."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +15,14 @@ from anylie.envelope import NCPoly, TensorSquarePoly
 from anylie.grading import Bicharacter
 from anylie.sparse import LinComb
 
+from reference import ncpoly_mul, tensor_square_mul, theta_mul
+
 SPEC = build_matrix_type(2, Bicharacter.anyonic(3), (0, 1))
+SPEC_Z2 = build_matrix_type(2, Bicharacter.anyonic(2), (0, 1))
 
 cyc = st.builds(CycNum, st.sampled_from([1, 2, 3, 4, 6]),
                 st.lists(st.integers(-3, 3), max_size=4))
+scalars = cyc | st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=4)
 words = st.lists(st.integers(0, 3), max_size=3).map(tuple)
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))
 
@@ -44,23 +50,93 @@ def assert_clean(x, like):
 @given(data=st.data())
 def test_vector_space_laws(name, data):
     a, b = data.draw(combinations(name)), data.draw(combinations(name))
-    s = data.draw(cyc)
+    s = data.draw(scalars)
     assert isinstance(a, LinComb)
     assert a + b - b == a
     assert a + b == b + a
-    for zero in (a - a, a + (-a), a.scaled(0), 0 * a):
+    for zero in (a - a, a + (-a), a.scaled(0), 0 * a, a * 0):
         assert zero.terms == {}
         assert_clean(zero, a)
     assert (a + b).scaled(s) == a.scaled(s) + b.scaled(s)
-    assert s * a == a.scaled(s)
+    assert s * a == a * s == a.scaled(s)
     for result in (a + b, a - b, -a, a.scaled(s)):
         assert_clean(result, a)
 
 
+@pytest.mark.parametrize("name", sorted(SPACES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_product_laws(name, data):
+    a, b, c = (data.draw(combinations(name)) for _ in range(3))
+    s = data.draw(scalars)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    one = a ** 0
+    assert one * a == a == a * one
+    assert (s * a) * b == s * (a * b) == a * (s * b) == (a * b) * s
+    for result in (a * b, a * s, a ** 2):
+        assert_clean(result, a)
+
+
+def _random_cyc(rng):
+    order = rng.randint(1, 12)
+    return CycNum(order, [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))])
+
+
+def _random_terms(rng, key):
+    return {key(rng): _random_cyc(rng) for _ in range(rng.randint(1, 3))}
+
+
+def _random_word(rng):
+    return tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 2)))
+
+
+# each space: a seeded operand maker and the product it had before the
+# shared loop, copied into tests/reference.py
+OLD_PRODUCTS = {
+    "NCPoly": (lambda rng: NCPoly(_random_terms(rng, _random_word)), ncpoly_mul),
+    "TensorSquarePoly": (
+        lambda rng: TensorSquarePoly(
+            SPEC, _random_terms(rng, lambda r: (_random_word(r), _random_word(r)))),
+        tensor_square_mul),
+    "ThetaPoly": (
+        lambda rng: ThetaPoly(4, 3, _random_terms(
+            rng, lambda r: tuple(r.randint(0, 3) for _ in range(3)))),
+        theta_mul),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_PRODUCTS))
+def test_product_matches_the_hand_written_loops(name):
+    """Same terms, same CycNum orders, same rendering: compared by repr."""
+    make, old_mul = OLD_PRODUCTS[name]
+    rng = random.Random(17)
+    for _ in range(500):
+        a, b = make(rng), make(rng)
+        assert repr(a * b) == repr(old_mul(a, b))
+
+
 def test_theta_shape_mismatch_raises():
-    a = ThetaPoly.theta(3, 2)
-    for other in (ThetaPoly.theta(4, 2), ThetaPoly.theta(3, 1)):
+    """Combinations of different shapes, tensors over different gradings
+    included, neither combine nor compare equal."""
+    theta = ThetaPoly.theta(3, 2)
+    key = ((1,), (2,))
+    tensor = TensorSquarePoly(SPEC, {key: 1})
+    for a, other in ((theta, ThetaPoly.theta(4, 2)), (theta, ThetaPoly.theta(3, 1)),
+                     (tensor, TensorSquarePoly(SPEC_Z2, {key: 1}))):
         assert a != other
         for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
-            with pytest.raises(ValueError):
-                op(a, other)
+            for x, y in ((a, other), (other, a)):
+                with pytest.raises(ValueError):
+                    op(x, y)
+
+
+@pytest.mark.parametrize("n, vars, exps", [
+    (3, 1, (1.5,)), (3, 1, (True,)), (3, 1, ("2",)), (3, 1, (None,)),
+    (3.0, 1, (1,)), (True, 1, (0,)), ("3", 1, (1,)),
+    (3, 1.0, (1,)), (3, True, (1,)), (3, "1", (1,)),
+])
+def test_theta_refuses_non_integers(n, vars, exps):
+    with pytest.raises(ValueError, match="integers"):
+        ThetaPoly(n, vars, {exps: 1})
