@@ -1,18 +1,21 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_m).
 
-A number is stored as its coordinate vector in the power basis
-1, z, ..., z^(phi(m)-1) of Q(zeta_m), z = exp(2*pi*i/m).  One cached table,
-`_power_rows(m)`, holds the integer coordinates of z^e for e < m, and
-`_reduce` folds a polynomial of any length onto the basis through it:
-construction, products, lifting and roots of unity take this one path.
-Reduction makes equality canonical and the representation a genuine
-field: no zero divisors, exact inverses.
+A number is stored as integer coordinates over one common denominator:
+`nums[e] / den` is its coordinate on z^e in the power basis
+1, z, ..., z^(phi(m)-1) of Q(zeta_m), z = exp(2*pi*i/m).  The pair is kept
+in lowest terms (den > 0, gcd(den, *nums) == 1, zero as (0, ...), 1), so
+equality is tuple equality.  One cached table, `_power_rows(m)`, holds the
+integer coordinates of z^e for e < m, and `_reduce` folds an integer
+polynomial of any length onto the basis through it: construction, products,
+lifting, conjugates and roots of unity take this one path.  Reduction makes
+the representation a genuine field: no zero divisors, exact inverses.
 Mixed-order arithmetic embeds both operands into Q(zeta_L), L = lcm of the
 orders, via z_m = z_L^(L/m).  Elements are never re-minimised into a
 smaller cyclotomic subfield; they keep their declared order.
 
-All coefficients are `fractions.Fraction`; there is no floating point in
-any code path used for comparison.
+All arithmetic is on Python ints; `fractions.Fraction` appears only where
+values enter (the constructor, `from_json`) and leave (`coeffs`).  There is
+no floating point in any code path used for comparison.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import index
 
 __all__ = [
@@ -30,8 +33,6 @@ __all__ = [
     "q_binomial",
     "q_integer",
 ]
-
-_ZERO = Fraction(0)  # shared as padding; Fractions are immutable
 
 
 def checked_integers(values, what: str) -> tuple:
@@ -54,22 +55,20 @@ def _rational(value) -> Fraction:
         raise ValueError(f"zero denominator in {value!r}") from None
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    """Quotient and remainder of dense polynomial division (den monic-led)."""
+def _divide_exactly(num: list, den: tuple) -> list:
+    """num / den for integer polynomials (low to high), den monic and
+    dividing num."""
     num = list(num)
     dden = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dden, 1)
+    quot = [0] * (len(num) - dden)
     for i in range(len(num) - dden - 1, -1, -1):
-        coeff = num[i + dden] / lead
+        coeff = num[i + dden]
         if coeff:
             quot[i] = coeff
             for j, dj in enumerate(den):
                 num[i + j] -= coeff * dj
-    rem = num[:dden]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
+    assert not any(num[:dden])
+    return quot
 
 
 @lru_cache(maxsize=None)
@@ -82,19 +81,11 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """
     if m < 1:
         raise ValueError("cyclotomic order must be >= 1")
-    if m == 1:
-        return (-1, 1)
-    num = [Fraction(0)] * (m + 1)
-    num[0] = Fraction(-1)
-    num[m] = Fraction(1)
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num, rem = _poly_divmod(num, [Fraction(c) for c in cyclotomic_polynomial(d)])
-            assert not rem
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    assert all(c.denominator == 1 for c in num)
-    return tuple(int(c) for c in num)
+            num = _divide_exactly(num, cyclotomic_polynomial(d))
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)
@@ -115,40 +106,73 @@ def _power_rows(m: int) -> tuple:
     return tuple(rows)
 
 
-def _reduce(coeffs: list, m: int) -> tuple:
-    """Fold sum(coeffs[e] * z^e), a Fraction list of any length, onto the
-    power basis of Q(zeta_m)."""
+def _reduce(coeffs: list, m: int) -> list:
+    """Fold sum(coeffs[e] * z^e), an int list of any length, onto the power
+    basis of Q(zeta_m)."""
     rows = _power_rows(m)
     deg = len(rows[0])
-    out = coeffs[:deg] + [_ZERO] * (deg - len(coeffs))
+    out = coeffs[:deg] + [0] * (deg - len(coeffs))
     for e in range(deg, len(coeffs)):
         c = coeffs[e]
         if c:
             for i, r in enumerate(rows[e % m]):
                 if r:
                     out[i] += c * r
-    return tuple(out)
+    return out
+
+
+def _lowest(nums, den: int) -> tuple:
+    """(nums, den), den > 0, divided by gcd(den, *nums): nums as a tuple."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return tuple(c // g for c in nums), den // g
+    return tuple(nums), den
+
+
+def _multiply(xs, ys, m: int) -> list:
+    """The product of two integer coordinate vectors of Q(zeta_m)."""
+    prod = [0] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys):
+                if y:
+                    prod[i + j] += x * y
+    return _reduce(prod, m)
+
+
+def _conjugate(xs, k: int, m: int) -> list:
+    """sigma_k(x): the coordinates of x with z replaced by z^k, k a unit mod m."""
+    raised = [0] * m
+    for e, x in enumerate(xs):
+        raised[e * k % m] = x
+    return _reduce(raised, m)
 
 
 class CycNum:
     """An element of Q(zeta_m), reduced modulo Phi_m.
 
-    `order` is m; `coeffs` has length phi(m).  Values compare equal across
-    orders whenever they agree after embedding into the lcm field.
+    `order` is m; `nums` has length phi(m), and the coordinates are
+    `nums[e] / den` in lowest terms.  Values compare equal across orders
+    whenever they agree after embedding into the lcm field.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs=()):
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
+        nums = [f.numerator * (den // f.denominator) for f in fracs]
         self.order = order
-        self.coeffs = _reduce([Fraction(c) for c in coeffs], order)
+        self.nums, self.den = _lowest(_reduce(nums, order), den)
 
     @classmethod
-    def _raw(cls, order: int, coeffs: tuple) -> "CycNum":
-        """Wrap coefficients already known to be reduced (internal)."""
+    def _make(cls, order: int, nums, den: int = 1) -> "CycNum":
+        """Wrap integer coordinates already reduced onto the power basis,
+        over a positive denominator, in lowest terms (internal)."""
         obj = object.__new__(cls)
         obj.order = order
-        obj.coeffs = coeffs
+        obj.nums, obj.den = _lowest(nums, den)
         return obj
 
     @classmethod
@@ -157,7 +181,7 @@ class CycNum:
 
     @classmethod
     def one(cls, order: int = 1) -> "CycNum":
-        return cls(order, (Fraction(1),))
+        return cls(order, (1,))
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CycNum":
@@ -167,9 +191,16 @@ class CycNum:
     def promote(value) -> "CycNum":
         if isinstance(value, CycNum):
             return value
-        if isinstance(value, (int, Fraction)):
-            return CycNum(1, (Fraction(value),))
+        if isinstance(value, int):
+            return CycNum._make(1, (int(value),))
+        if isinstance(value, Fraction):
+            return CycNum._make(1, (value.numerator,), value.denominator)
         raise TypeError(f"cannot promote {type(value).__name__} to CycNum")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- embedding -------------------------------------------------------
 
@@ -179,9 +210,9 @@ class CycNum:
             return self
         assert new_order % self.order == 0
         step = new_order // self.order
-        raised = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        raised[::step] = self.coeffs
-        return CycNum._raw(new_order, _reduce(raised, new_order))
+        raised = [0] * ((len(self.nums) - 1) * step + 1)
+        raised[::step] = self.nums
+        return CycNum._make(new_order, _reduce(raised, new_order), self.den)
 
     def _pair(self, other):
         other = CycNum.promote(other)
@@ -193,19 +224,27 @@ class CycNum:
     # -- arithmetic ------------------------------------------------------
     # non-numeric operands fall through to the other side's reflected op
 
+    def _plus(self, other, sign: int):
+        a, b = self._pair(other)
+        da, db = a.den, b.den
+        if da == db:
+            nums = [x + sign * y for x, y in zip(a.nums, b.nums)]
+        else:
+            nums = [x * db + sign * y * da for x, y in zip(a.nums, b.nums)]
+            da *= db
+        return CycNum._make(a.order, nums, da)
+
     def __add__(self, other):
         if not isinstance(other, (CycNum, int, Fraction)):
             return NotImplemented
-        a, b = self._pair(other)
-        return CycNum._raw(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, (CycNum, int, Fraction)):
             return NotImplemented
-        a, b = self._pair(other)
-        return CycNum._raw(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         if not isinstance(other, (CycNum, int, Fraction)):
@@ -213,41 +252,34 @@ class CycNum:
         return CycNum.promote(other) - self
 
     def __neg__(self):
-        return CycNum._raw(self.order, tuple(-c for c in self.coeffs))
+        return CycNum._make(self.order, [-c for c in self.nums], self.den)
 
     def __mul__(self, other):
         if not isinstance(other, (CycNum, int, Fraction)):
             return NotImplemented
         a, b = self._pair(other)
-        n = len(a.coeffs)
-        prod = [_ZERO] * (2 * n - 1)
-        for i, ci in enumerate(a.coeffs):
-            if ci:
-                for j, cj in enumerate(b.coeffs):
-                    if cj:
-                        prod[i + j] += ci * cj
-        return CycNum._raw(a.order, _reduce(prod, a.order))
+        return CycNum._make(a.order, _multiply(a.nums, b.nums, a.order), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse through the norm: 1/x = P / N(x), where P
+        is the product of the conjugates sigma_k(x), k a unit mod m other
+        than 1, and N(x) = x * P is rational."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
-        m = self.order
-        r0 = list(self.coeffs)
-        while r0[-1] == 0:
-            r0.pop()
-        # r0 = s0*self and r1 = s1*self mod Phi_m; Phi_m is irreducible,
-        # so the remainders reach a nonzero constant before zero
-        r1 = [Fraction(c) for c in cyclotomic_polynomial(m)]
-        s0, s1 = CycNum.one(m), CycNum.zero(m)
-        while len(r0) > 1:
-            quot, rem = _poly_divmod(r1, r0)
-            r0, r1 = rem, r0
-            s0, s1 = s1 - CycNum(m, quot) * s0, s0
-        inv_lead = 1 / r0[0]
-        return CycNum._raw(m, tuple(c * inv_lead for c in s0.coeffs))
+        m, nums = self.order, self.nums
+        others = [1] + [0] * (len(nums) - 1)
+        if not self.is_rational():  # a rational is its own conjugate
+            for k in range(2, m):
+                if gcd(k, m) == 1:
+                    others = _multiply(others, _conjugate(nums, k, m), m)
+        # x = nums / den, so P = others / den^(phi-1), N(x) = norm / den^phi
+        # and 1/x = others * den / norm
+        norm = _multiply(nums, others, m)
+        assert not any(norm[1:])
+        scale = self.den if norm[0] > 0 else -self.den
+        return CycNum._make(m, [c * scale for c in others], abs(norm[0]))
 
     def __truediv__(self, other):
         if not isinstance(other, (CycNum, int, Fraction)):
@@ -274,24 +306,24 @@ class CycNum:
     # -- predicates & comparison -----------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, CycNum) and other.order == self.order:
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         if not isinstance(other, (CycNum, int, Fraction)):
             return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.nums == b.nums and a.den == b.den
 
     # equality crosses orders through the lcm embedding, so there is no
     # cheap canonical form to hash without re-minimising orders
@@ -354,7 +386,7 @@ def root_of_unity(m: int, k: int) -> CycNum:
     """
     if m < 1:
         raise ValueError("root_of_unity needs order m >= 1")
-    return CycNum._raw(m, tuple(Fraction(r) for r in _power_rows(m)[k % m]))
+    return CycNum._make(m, _power_rows(m)[k % m])
 
 
 def q_integer(k: int, q: CycNum) -> CycNum:

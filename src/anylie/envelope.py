@@ -436,8 +436,8 @@ class TensorSquarePoly(LinComb):
         """Braided product: (u1 (x) u2)(v1 (x) v2) =
         beta(|u2|, |v1|) u1 v1 (x) u2 v2."""
         (u1, u2), (v1, v2) = a, b
-        return (u1 + v1, u2 + v2), self.spec.bichar.phase(self.word_degree(u2),
-                                                          self.word_degree(v1))
+        phase = self.spec.bichar.phase(self.word_degree(u2), self.word_degree(v1))
+        return (u1 + v1, u2 + v2), None if phase.is_one() else phase
 
     def normalized(self, rs: RewriteSystem) -> "TensorSquarePoly":
         out = {}
@@ -496,11 +496,11 @@ def is_grouplike(spec: AlgebraSpec, rs: RewriteSystem, poly: NCPoly):
     """True iff delta(p) = p (x) p at normal form and eps(p) = 1; returns (flag,
     witnesses): ("delta", delta(p) - p (x) p) if nonzero, ("counit", eps(p)) if not 1."""
     nf = rs.normal_form(poly)
-    square = TensorSquarePoly(
-        spec, {(w1, w2): v1 * v2 for w1, v1 in nf.terms.items()
-               for w2, v2 in nf.terms.items()})
+    # p (x) p = (p (x) 1)(1 (x) p): the legs cross as empty words, phase 1
+    left = TensorSquarePoly(spec, {(w, ()): v for w, v in nf.terms.items()})
+    right = TensorSquarePoly(spec, {((), w): v for w, v in nf.terms.items()})
     witnesses = []
-    defect = delta_on_products(spec, rs, nf) - square.normalized(rs)
+    defect = delta_on_products(spec, rs, nf) - (left * right).normalized(rs)
     if not defect.is_zero():
         witnesses.append(("delta", defect))
     eps = counit_on_poly(spec, nf)

@@ -2,6 +2,7 @@
 conveniences kept out of the library."""
 
 import cmath
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +11,8 @@ from anylie.algebra import (AlgebraSpec, AxiomReport, CheckResult, SpecFormatErr
 from anylie.anyspace import ExprError, ThetaPoly
 from anylie.cli import _match_label
 from anylie.constructions import _ansatz_data
-from anylie.cyclotomic import CycNum, cyclotomic_polynomial, q_binomial, root_of_unity
+from anylie.cyclotomic import (CycNum, _power_rows, checked_integers, cyclotomic_polynomial,
+                               q_binomial, root_of_unity)
 from anylie.envelope import NCPoly, RewriteSystem, Rule
 from anylie.sparse import accumulate, nonzero
 
@@ -361,6 +363,254 @@ def inverse_euclid(self) -> tuple:
             assert len(r0) == 1
             inv_lead = 1 / r0[0]
             return _reduce_mod_phi([c * inv_lead for c in s0], self.order)
+
+
+# The Fraction-based CycNum that integer coordinates replaced, copied
+# unchanged except for the names: the class is `FractionCycNum`, and its
+# module helpers `_rational` and `_reduce` are `_rational_fraction` and
+# `_reduce_fractions`.  It reads the library's integer power table.  The
+# oracle for tests/test_cycnum_differential.py.
+
+_ZERO = Fraction(0)  # shared as padding; Fractions are immutable
+
+
+def _rational_fraction(value) -> Fraction:
+    """`Fraction(value)`, with a zero denominator from outside as ValueError."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
+def _reduce_fractions(coeffs: list, m: int) -> tuple:
+    """Fold sum(coeffs[e] * z^e), a Fraction list of any length, onto the
+    power basis of Q(zeta_m)."""
+    rows = _power_rows(m)
+    deg = len(rows[0])
+    out = coeffs[:deg] + [_ZERO] * (deg - len(coeffs))
+    for e in range(deg, len(coeffs)):
+        c = coeffs[e]
+        if c:
+            for i, r in enumerate(rows[e % m]):
+                if r:
+                    out[i] += c * r
+    return tuple(out)
+
+
+class FractionCycNum:
+    """An element of Q(zeta_m), reduced modulo Phi_m.
+
+    `order` is m; `coeffs` has length phi(m).  Values compare equal across
+    orders whenever they agree after embedding into the lcm field.
+    """
+
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs=()):
+        self.order = order
+        self.coeffs = _reduce_fractions([Fraction(c) for c in coeffs], order)
+
+    @classmethod
+    def _raw(cls, order: int, coeffs: tuple) -> "FractionCycNum":
+        """Wrap coefficients already known to be reduced (internal)."""
+        obj = object.__new__(cls)
+        obj.order = order
+        obj.coeffs = coeffs
+        return obj
+
+    @classmethod
+    def zero(cls, order: int = 1) -> "FractionCycNum":
+        return cls(order, ())
+
+    @classmethod
+    def one(cls, order: int = 1) -> "FractionCycNum":
+        return cls(order, (Fraction(1),))
+
+    @classmethod
+    def from_rational(cls, value, order: int = 1) -> "FractionCycNum":
+        return cls(order, (_rational_fraction(value),))
+
+    @staticmethod
+    def promote(value) -> "FractionCycNum":
+        if isinstance(value, FractionCycNum):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return FractionCycNum(1, (Fraction(value),))
+        raise TypeError(f"cannot promote {type(value).__name__} to CycNum")
+
+    # -- embedding -------------------------------------------------------
+
+    def lifted(self, new_order: int) -> "FractionCycNum":
+        """The same number written in Q(zeta_L), L a multiple of the order."""
+        if new_order == self.order:
+            return self
+        assert new_order % self.order == 0
+        step = new_order // self.order
+        raised = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
+        raised[::step] = self.coeffs
+        return FractionCycNum._raw(new_order, _reduce_fractions(raised, new_order))
+
+    def _pair(self, other):
+        other = FractionCycNum.promote(other)
+        if self.order == other.order:
+            return self, other
+        common = self.order * other.order // gcd(self.order, other.order)
+        return self.lifted(common), other.lifted(common)
+
+    # -- arithmetic ------------------------------------------------------
+    # non-numeric operands fall through to the other side's reflected op
+
+    def __add__(self, other):
+        if not isinstance(other, (FractionCycNum, int, Fraction)):
+            return NotImplemented
+        a, b = self._pair(other)
+        return FractionCycNum._raw(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if not isinstance(other, (FractionCycNum, int, Fraction)):
+            return NotImplemented
+        a, b = self._pair(other)
+        return FractionCycNum._raw(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+
+    def __rsub__(self, other):
+        if not isinstance(other, (FractionCycNum, int, Fraction)):
+            return NotImplemented
+        return FractionCycNum.promote(other) - self
+
+    def __neg__(self):
+        return FractionCycNum._raw(self.order, tuple(-c for c in self.coeffs))
+
+    def __mul__(self, other):
+        if not isinstance(other, (FractionCycNum, int, Fraction)):
+            return NotImplemented
+        a, b = self._pair(other)
+        n = len(a.coeffs)
+        prod = [_ZERO] * (2 * n - 1)
+        for i, ci in enumerate(a.coeffs):
+            if ci:
+                for j, cj in enumerate(b.coeffs):
+                    if cj:
+                        prod[i + j] += ci * cj
+        return FractionCycNum._raw(a.order, _reduce_fractions(prod, a.order))
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FractionCycNum":
+        """Multiplicative inverse via the extended Euclidean algorithm."""
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
+        m = self.order
+        r0 = list(self.coeffs)
+        while r0[-1] == 0:
+            r0.pop()
+        # r0 = s0*self and r1 = s1*self mod Phi_m; Phi_m is irreducible,
+        # so the remainders reach a nonzero constant before zero
+        r1 = [Fraction(c) for c in cyclotomic_polynomial(m)]
+        s0, s1 = FractionCycNum.one(m), FractionCycNum.zero(m)
+        while len(r0) > 1:
+            quot, rem = _poly_divmod(r1, r0)
+            r0, r1 = rem, r0
+            s0, s1 = s1 - FractionCycNum(m, quot) * s0, s0
+        inv_lead = 1 / r0[0]
+        return FractionCycNum._raw(m, tuple(c * inv_lead for c in s0.coeffs))
+
+    def __truediv__(self, other):
+        if not isinstance(other, (FractionCycNum, int, Fraction)):
+            return NotImplemented
+        return self * FractionCycNum.promote(other).inverse()
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, (FractionCycNum, int, Fraction)):
+            return NotImplemented
+        return FractionCycNum.promote(other) / self
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            return self.inverse() ** (-exponent)
+        result = FractionCycNum.one(self.order)
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            base = base * base
+            exponent >>= 1
+        return result
+
+    # -- predicates & comparison -----------------------------------------
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def is_one(self) -> bool:
+        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+
+    def is_rational(self) -> bool:
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __eq__(self, other):
+        if isinstance(other, FractionCycNum) and other.order == self.order:
+            return self.coeffs == other.coeffs
+        if not isinstance(other, (FractionCycNum, int, Fraction)):
+            return NotImplemented
+        a, b = self._pair(other)
+        return a.coeffs == b.coeffs
+
+    # equality crosses orders through the lcm embedding, so there is no
+    # cheap canonical form to hash without re-minimising orders
+    __hash__ = None
+
+    # -- input / output ---------------------------------------------------
+
+    def to_json(self) -> dict:
+        terms = [[e, str(c)] for e, c in enumerate(self.coeffs) if c]
+        return {"order": self.order, "terms": terms}
+
+    @classmethod
+    def from_json(cls, data) -> "FractionCycNum":
+        if isinstance(data, str):
+            data = json.loads(data)
+        if not isinstance(data, dict) or "order" not in data:
+            raise ValueError("CycNum JSON must be {'order': m, 'terms': [[k, 'p/q'], ...]}")
+        (order,) = checked_integers((data["order"],), "CycNum order")
+        if order < 1:
+            raise ValueError("cyclotomic order must be >= 1")
+        coeffs = [Fraction(0)] * order
+        for k, val in data.get("terms", ()):
+            (k,) = checked_integers((k,), "exponents in CycNum JSON")
+            if k < 0:
+                raise ValueError("exponents in CycNum JSON must be >= 0")
+            coeffs[k % order] += _rational_fraction(str(val))
+        return cls(order, coeffs)
+
+    def __str__(self):
+        if self.is_zero():
+            return "0"
+        parts = []
+        for e, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            if e == 0:
+                parts.append(str(c))
+            else:
+                base = "z%d" % self.order if e == 1 else "z%d^%d" % (self.order, e)
+                if c == 1:
+                    parts.append(base)
+                elif c == -1:
+                    parts.append("-" + base)
+                else:
+                    parts.append("%s*%s" % (c, base))
+        out = parts[0]
+        for p in parts[1:]:
+            out += p if p.startswith("-") else "+" + p
+        return out
+
+    def __repr__(self):
+        return "CycNum(%d, %r)" % (self.order, self.coeffs)
 
 
 def lifted_by_division(x: CycNum, new_order: int) -> tuple:

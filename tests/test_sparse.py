@@ -109,12 +109,30 @@ OLD_PRODUCTS = {
 
 @pytest.mark.parametrize("name", sorted(OLD_PRODUCTS))
 def test_product_matches_the_hand_written_loops(name):
-    """Same terms, same CycNum orders, same rendering: compared by repr."""
+    """Same terms, same CycNum orders, same rendering: compared by repr.
+    The tensor square alone no longer multiplies by a unit phase, which
+    lifted the coefficient into the phase's field: there the values are
+    equal, and each order divides the one the old loop gave."""
     make, old_mul = OLD_PRODUCTS[name]
     rng = random.Random(17)
     for _ in range(500):
         a, b = make(rng), make(rng)
-        assert repr(a * b) == repr(old_mul(a, b))
+        new, old = a * b, old_mul(a, b)
+        if name == "TensorSquarePoly":
+            assert new == old
+            assert all(old.terms[k].order % v.order == 0 for k, v in new.terms.items())
+        else:
+            assert repr(new) == repr(old)
+
+
+def test_tensor_square_skips_unit_phases():
+    """Legs that cross with phase 1 (here an empty leg) give no phase to
+    multiply by; a degree crossing itself does."""
+    t = TensorSquarePoly(SPEC)
+    g = next(g for g in range(SPEC.dim) if SPEC.degrees[g] != SPEC.group.zero())
+    assert t._times(((0,), ()), ((), (1,))) == (((0,), (1,)), None)
+    key, phase = t._times(((), (g,)), ((g,), ()))
+    assert key == ((g,), (g,)) and not phase.is_one()
 
 
 def test_theta_shape_mismatch_raises():
