@@ -6,7 +6,8 @@ Commands:
     make-matrix  emit the matrix-family algebra for N, grading, f
     make-ansatz  emit the C + g ansatz from a bracket-constants file
     env          enveloping relations, derived zero/nilpotent sets,
-                 local-confluence verdict, optional grouplike quotient
+                 confluence verdict from critical pairs (a proof at all
+                 degrees), optional grouplike quotient
     nf           normal form of a word in the enveloping algebra
     anyspace     expand expressions on the braided line C[t]/t^n
     search       brute-force enumeration of low-dimensional algebras
@@ -16,7 +17,8 @@ also for a make-* result without --skip-check, env or nf on a spec that
 fails verification without --force, a rewrite that exhausts its step
 budget, a quotient closure that does not close, nf on rules whose
 critical pairs do not all resolve), 2 input or usage errors (also a
---quotient element that is not grouplike).  All output is a pure
+--quotient element that is not grouplike or not central, and a
+--degree-cap below 3).  All output is a pure
 function of files and flags; repeated runs are byte-identical.
 """
 
@@ -196,7 +198,10 @@ def _envelope(args):
 
 
 def cmd_env(args) -> int:
+    if args.degree_cap < 3:
+        raise ValueError("degree_cap must be >= 3 to see overlaps")
     spec, rels, rs = _envelope(args)
+    labels = spec.basis
     if args.quotient:
         poly = _parse_poly(spec, args.quotient)
         grouplike, witnesses = is_grouplike(spec, rs, poly)
@@ -204,9 +209,15 @@ def cmd_env(args) -> int:
             raise ValueError("the --quotient element is not grouplike: " + ", ".join(
                 f"delta(p) - p(x)p = {w.render()}" if name == "delta" else f"eps(p) = {w}"
                 for name, w in witnesses))
+        central, witnesses = rs.is_central(poly)
+        if not central:
+            raise ValueError("the --quotient element is not central: " + ", ".join(
+                f"p*{labels[g]} - {labels[g]}*p = {w.render(labels)}" for g, w in witnesses[:2]))
         rs = quotient_by_central_grouplike(rs, poly)
-    conf = rs.check_local_confluence(args.degree_cap)
-    labels = spec.basis
+    conf = rs.check_critical_pairs()
+    if conf.confluent:
+        # the diamond lemma covers every word; the verdict names those up to the cap
+        conf.words_checked = sum(spec.dim ** k for k in range(2, args.degree_cap + 1))
     rules = sorted(rs.rules, key=lambda r: (len(r.lhs), r.lhs))
     if args.json:
         payload = {
@@ -473,7 +484,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("env", help="enveloping relations and rewrite data")
     p.add_argument("spec")
     p.add_argument("--order", help="generator order: labels or indices, comma-separated")
-    p.add_argument("--degree-cap", type=int, default=4)
+    p.add_argument("--degree-cap", type=int, default=4,
+                   help="at least 3; the confluent verdict counts the words of length 2 "
+                        "up to it, which the critical-pair proof covers (default 4)")
     p.add_argument("--force", action="store_true",
                    help="generate relations even if the algebra fails verification")
     p.add_argument("--quotient",

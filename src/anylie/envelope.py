@@ -21,9 +21,7 @@ come out as rules with right side 0:
 The derived zero pairs and nilpotents are consequences of the relations,
 never inputs.  Words reduce to a unique normal form once the system is
 confluent.  `check_critical_pairs` decides that at all degrees from the
-overlap and inclusion ambiguities of the rules (Bergman's diamond lemma);
-`check_local_confluence` is a brute-force diamond test over all words up
-to a degree cap.
+overlap and inclusion ambiguities of the rules (Bergman's diamond lemma).
 
 Quotients by a central grouplike element (setting it equal to 1) are
 closed by `quotient_by_central_grouplike`: the relation element - 1 joins
@@ -150,8 +148,11 @@ class ConfluenceReport:
     def render(self, labels) -> str:
         if self.confluent:
             return f"locally confluent ({self.words_checked} words checked)"
-        lines = [f"NOT confluent ({len(self.divergences)} divergent words)"]
-        for word, forms in self.divergences[:5]:
+        first = {}  # one row per diverging pair; several pairs can share a word
+        for word, forms in self.divergences:
+            first.setdefault(word, forms)
+        lines = [f"NOT confluent ({len(first)} divergent words)"]
+        for word, forms in list(first.items())[:5]:
             lines.append(f"  word {render_word(word, labels)}: normal forms "
                          + "; ".join(f.render(labels) for f in forms))
         return "\n".join(lines)
@@ -270,11 +271,6 @@ class RewriteSystem:
     def nf_word(self, word) -> NCPoly:
         return self.normal_form(NCPoly.word(word))
 
-    def _one_step_reducts(self, word):
-        """Every single rewrite of the word, over all positions and rules."""
-        return [_placed(word[:i], rule.rhs, word[i + len(rule.lhs) :])
-                for i, rule in self._redexes(word)]
-
     def critical_pairs(self):
         """Bergman's ambiguities as (word, reduct, reduct): each inclusion,
         where one left side occurs inside another, and each overlap, where
@@ -310,27 +306,6 @@ class RewriteSystem:
             if forms[0] != forms[1]:
                 divergences.append((word, forms))
         return ConfluenceReport(not divergences, divergences, len(pairs))
-
-    def check_local_confluence(self, degree_cap: int = 4) -> ConfluenceReport:
-        """Reduce every word of length <= degree_cap along every one-step
-        choice and compare the resulting normal forms."""
-        if degree_cap < 3:
-            raise ValueError("degree_cap must be >= 3 to see overlaps")
-        from itertools import product as iproduct
-
-        divergences = []
-        checked = 0
-        for length in range(2, degree_cap + 1):
-            for word in iproduct(range(self.ngens), repeat=length):
-                checked += 1
-                forms = []
-                for reduct in self._one_step_reducts(word):
-                    nf = self.normal_form(reduct)
-                    if all(nf != f for f in forms):
-                        forms.append(nf)
-                if len(forms) > 1:
-                    divergences.append((word, forms))
-        return ConfluenceReport(not divergences, divergences, checked)
 
     # -- algebraic queries ----------------------------------------------------
 

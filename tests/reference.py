@@ -4,6 +4,7 @@ conveniences kept out of the library."""
 import cmath
 import json
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from anylie.algebra import (AlgebraSpec, AxiomReport, CheckResult, SpecFormatError, Witness,
@@ -13,7 +14,7 @@ from anylie.cli import _match_label
 from anylie.constructions import _ansatz_data
 from anylie.cyclotomic import (CycNum, _power_rows, checked_integers, cyclotomic_polynomial,
                                q_binomial, root_of_unity)
-from anylie.envelope import NCPoly, RewriteSystem, Rule
+from anylie.envelope import ConfluenceReport, NCPoly, RewriteSystem, Rule
 from anylie.sparse import accumulate, nonzero
 
 
@@ -286,6 +287,50 @@ def build_rewrite_system_pairwise(relations, ngens: int, order=None) -> RewriteS
         if not changed:
             break
     return rs
+
+
+# The brute-force diamond test: every word up to a degree cap, reduced
+# along every one-step choice.  A sample, not a proof; kept as the
+# reference that check_critical_pairs is compared against.
+
+def rules_by_lhs(rs: RewriteSystem) -> dict:
+    by_lhs = {}
+    for rule in rs.rules:
+        by_lhs.setdefault(rule.lhs, []).append(rule)
+    return by_lhs
+
+
+def one_step_reducts(rs: RewriteSystem, word, by_lhs=None) -> list:
+    """Every single rewrite of the word: leftmost position first, then
+    narrower left sides, then the rules in the order of rs.rules.  `by_lhs`
+    is `rules_by_lhs(rs)`, built here when omitted."""
+    by_lhs = rules_by_lhs(rs) if by_lhs is None else by_lhs
+    reducts = []
+    for i in range(len(word)):
+        for width in range(1, len(word) - i + 1):
+            for rule in by_lhs.get(word[i:i + width], ()):
+                reducts.append(NCPoly({word[:i] + w + word[i + width:]: v
+                                       for w, v in rule.rhs.terms.items()}))
+    return reducts
+
+
+def check_local_confluence(rs: RewriteSystem, degree_cap: int = 4) -> ConfluenceReport:
+    """Reduce every word of length 2..degree_cap along every one-step choice
+    and compare the resulting normal forms; one divergence per word."""
+    by_lhs = rules_by_lhs(rs)
+    divergences = []
+    checked = 0
+    for length in range(2, degree_cap + 1):
+        for word in product(range(rs.ngens), repeat=length):
+            checked += 1
+            forms = []
+            for reduct in one_step_reducts(rs, word, by_lhs):
+                nf = rs.normal_form(reduct)
+                if all(nf != f for f in forms):
+                    forms.append(nf)
+            if len(forms) > 1:
+                divergences.append((word, forms))
+    return ConfluenceReport(not divergences, divergences, checked)
 
 
 # The reduction modulo Phi_m that the power table replaced: dense polynomial

@@ -20,6 +20,7 @@ from anylie.envelope import (NCPoly, TensorSquarePoly, build_rewrite_system,
 from anylie.grading import Bicharacter
 
 from conftest import ONE, SL2_C, SUPER_C, SUPER_P, random_word, z
+from reference import check_local_confluence
 
 
 class _criterion:
@@ -298,7 +299,7 @@ def test_criterion_09_property_suites():
                 assert lhs == rhs
 
             # local confluence at degree cap 4
-            report = rs.check_local_confluence(4)
+            report = check_local_confluence(rs, 4)
             assert report.confluent, report.render(spec.basis)
 
 

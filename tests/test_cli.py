@@ -9,7 +9,9 @@ import pytest
 from anylie import cli
 from anylie.algebra import AlgebraSpec, verify_all
 from anylie.cli import main
+from anylie.cyclotomic import CycNum
 from anylie.envelope import NCPoly
+from anylie.grading import Bicharacter
 
 from conftest import z
 
@@ -236,7 +238,7 @@ def test_env_prints_divergent_words_in_labels(tmp_path, capsys):
     assert main(["make-matrix", "--N", "3", "--n", "3", "--f", "0,0,1", "-o", str(path)]) == 0
     capsys.readouterr()
     lines = env_lines([str(path)], capsys)
-    assert lines[-6:-4] == ["NOT confluent (108 divergent words)",
+    assert lines[-6:-4] == ["NOT confluent (8 divergent words)",
                             "  word x[1,3]*x[2,3]*x[2,1]: normal forms 0; (1)*x[1,3]*x[2,1]*x[2,3]"]
 
 
@@ -252,6 +254,30 @@ def assert_one_error_line(proc, code, needle):
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ") and needle in line
+
+
+def test_env_quotient_refuses_an_element_that_is_not_central(tmp_path):
+    """The refusal once printed Python reprs with generator indices."""
+    # grouplike a and b with a b = 2 b a: a is grouplike but not central
+    one = CycNum.one()
+    spec = AlgebraSpec(Bicharacter.anyonic(1), ["a", "b"], [0, 0], {0: one, 1: one},
+                       {(0, 0, 0): one, (1, 1, 1): one},
+                       {(0, 1, 1): CycNum(1, [2]), (1, 0, 0): CycNum(1, ["1/2"])})
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps(spec.to_json()))
+    proc = run_cli("env", str(path), "--force", "--quotient", "a")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line == "error: the --quotient element is not central: p*b - b*p = (1/2)*a*b"
+    assert "NCPoly(" not in line
+
+
+def test_env_degree_cap_below_three_exits_2(l2f3_file):
+    proc = run_cli("env", l2f3_file, "--degree-cap", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: degree_cap must be >= 3 to see overlaps"]
 
 
 # [x1, x2] = x1 with [x2, x1] = 0 breaks the braided Jacobi identity

@@ -10,7 +10,7 @@ from anylie.envelope import (NCPoly, RewriteSystem, Rule, TensorSquarePoly,
                              is_grouplike, quotient_by_central_grouplike)
 
 from conftest import ONE, random_word, rewrite_system_for, z
-from reference import word_less
+from reference import check_local_confluence, word_less
 
 A, B, C, D = range(4)
 
@@ -120,14 +120,9 @@ def test_normal_form_idempotent_and_degree_preserving(l2f3, l2f3_rs):
 
 
 def test_local_confluence_of_families(l2f2_rs, l3f_rs, sl2_rs):
-    assert l2f2_rs.check_local_confluence(4).confluent
-    assert l3f_rs.check_local_confluence(3).confluent
-    assert sl2_rs.check_local_confluence(4).confluent
-
-
-def test_local_confluence_cap_validation(l2f2_rs):
-    with pytest.raises(ValueError):
-        l2f2_rs.check_local_confluence(2)
+    assert check_local_confluence(l2f2_rs, 4).confluent
+    assert check_local_confluence(l3f_rs, 3).confluent
+    assert check_local_confluence(sl2_rs, 4).confluent
 
 
 def test_inconsistent_system_divergence_witness(l2f3):
@@ -138,7 +133,7 @@ def test_inconsistent_system_divergence_witness(l2f3):
         Rule((D, B), NCPoly({(B, D): ONE})),
     ]
     rs = RewriteSystem(4, rules)
-    report = rs.check_local_confluence(3)
+    report = check_local_confluence(rs, 3)
     assert not report.confluent
     word, forms = report.divergences[0]
     assert (D, B) == word[-2:] or (D, B) == word[:2]
@@ -146,6 +141,10 @@ def test_inconsistent_system_divergence_witness(l2f3):
     lines = report.render("abcd").splitlines()
     assert lines[:2] == ["NOT confluent (9 divergent words)",
                          "  word d*b: normal forms (-1-z3)*b*d; (1)*b*d"]
+    # the critical pairs see d*b twice, once per rule, and render counts words
+    pairs = rs.check_critical_pairs()
+    assert [word for word, _ in pairs.divergences] == [(D, B), (D, B)]
+    assert pairs.render("abcd").splitlines() == ["NOT confluent (1 divergent words)", lines[1]]
 
 
 def test_shape_errors():

@@ -38,6 +38,7 @@ COMMANDS = {
     "nf": ["nf", "l2f3.json", "x[2,1],x[1,2]"],
     "nf_json": ["nf", "sl2.json", "f,f,e,e", "--json"],
     "env_sl2": ["env", "sl2.json"],
+    "env_divergent": ["env", "d3.json"],
     "anyspace": ["anyspace", "--n", "3", "expand", "(t1+t2)^2"],
     "anyspace_vars3_json": ["anyspace", "--n", "5", "expand", "(t1-2*t2+t3)^3",
                             "--vars", "3", "--json"],
@@ -55,8 +56,9 @@ def _run(argv):
 
 
 def _make_inputs(workdir: Path):
-    for name, n, f in (("l2f3", "3", "0,1"), ("l2f2", "2", "0,1")):
-        assert _run(["make-matrix", "--N", "2", "--n", n, "--f", f,
+    for name, N, n, f in (("l2f3", "2", "3", "0,1"), ("l2f2", "2", "2", "0,1"),
+                          ("d3", "3", "3", "0,0,1")):
+        assert _run(["make-matrix", "--N", N, "--n", n, "--f", f,
                      "-o", str(workdir / f"{name}.json")])[0] == 0
     (workdir / "sl2_g.json").write_text(json.dumps(SL2_G))
     assert _run(["make-ansatz", "--n", "1", "--g-file", str(workdir / "sl2_g.json"),

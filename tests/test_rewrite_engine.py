@@ -2,20 +2,22 @@
 orientation it replaced, and critical pairs against the brute-force
 diamond check."""
 
+import json
 import random
 from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anylie.cli import SearchSpace, _parse_alphabet, run_search
+from anylie.cli import SearchSpace, _parse_alphabet, main, run_search
 from anylie.constructions import build_matrix_type
 from anylie.cyclotomic import CycNum
 from anylie.envelope import (NCPoly, RewriteSystem, Rule, build_rewrite_system,
-                             generate_relations, quotient_by_central_grouplike)
+                             generate_relations, quotient_by_central_grouplike, render_word)
 from anylie.grading import Bicharacter
 
-from reference import RelationShapeError, build_rewrite_system_pairwise, word_less
+from reference import (RelationShapeError, build_rewrite_system_pairwise, check_local_confluence,
+                       one_step_reducts, word_less)
 
 ONE = CycNum.one()
 
@@ -24,7 +26,7 @@ def test_width_three_rule_reduces():
     rs = RewriteSystem(3, [Rule((0, 1, 2), NCPoly.one())])
     assert rs.nf_word((0, 1, 2)) == NCPoly.one()
     assert rs.nf_word((2, 0, 1, 2, 0)) == NCPoly.word((2, 0))
-    assert rs._one_step_reducts((0, 1, 2, 1)) == [NCPoly.word((1,))]
+    assert one_step_reducts(rs, (0, 1, 2, 1)) == [NCPoly.word((1,))]
 
 
 def test_critical_pairs_of_a_hand_made_system():
@@ -44,7 +46,7 @@ def test_critical_pairs_of_a_hand_made_system():
     # with cab -> 0 the inclusion resolves, and so does every overlap
     fixed = RewriteSystem(3, rs.rules + [Rule((2, 0, 1), NCPoly.zero())])
     assert fixed.check_critical_pairs().confluent
-    assert fixed.check_local_confluence(5).confluent
+    assert check_local_confluence(fixed, 5).confluent
 
 
 @st.composite
@@ -69,8 +71,40 @@ def descending_rules(draw):
 @given(descending_rules())
 def test_critical_pairs_agree_with_brute_force(rs):
     width = max(len(rule.lhs) for rule in rs.rules)
-    brute = rs.check_local_confluence(max(3, 2 * width - 1))
+    brute = check_local_confluence(rs, max(3, 2 * width - 1))
     assert rs.check_critical_pairs().confluent == brute.confluent
+
+
+def test_env_verdict_agrees_with_brute_force(tmp_path, capsys, sl2_ansatz, super_ansatz):
+    """env decides by critical pairs; the brute-force check at cap 4 must
+    give the same verdict, flag every word env reports, and count the N
+    that env's confluent line names."""
+    specs = [build_matrix_type(N, Bicharacter.anyonic(n), f)
+             for N in (1, 2, 3) for n in range(1, 5) for f in product(range(n), repeat=N)]
+    assert len(specs) == 140
+    path = str(tmp_path / "spec.json")
+    verdicts = set()
+    for spec in specs + [sl2_ansatz, super_ansatz]:
+        with open(path, "w") as fh:
+            json.dump(spec.to_json(), fh)
+        assert main(["env", path, "--force", "--json"]) == 0
+        confluent = json.loads(capsys.readouterr().out)["confluent"]
+        assert main(["env", path, "--force"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rs = build_rewrite_system(generate_relations(spec), spec.dim)
+        ref = check_local_confluence(rs, 4)
+        assert confluent == ref.confluent, spec.to_json()
+        verdicts.add(confluent)
+        if confluent:
+            assert lines[-1] == f"locally confluent ({ref.words_checked} words checked)"
+            continue
+        words = list(dict.fromkeys(word for word, _ in rs.check_critical_pairs().divergences))
+        assert set(words) <= {word for word, _ in ref.divergences}
+        shown = min(len(words), 5)
+        assert lines[-1 - shown] == f"NOT confluent ({len(words)} divergent words)"
+        assert [line.split(":")[0] for line in lines[len(lines) - shown:]] == \
+            [f"  word {render_word(word, spec.basis)}" for word in words[:shown]]
+    assert verdicts == {True, False}
 
 
 # -- elimination against the pairwise orientation ---------------------------
@@ -133,5 +167,5 @@ def test_n2_quotient_is_confluent_beyond_its_widest_overlap(l2f2_rs):
     q = quotient_by_central_grouplike(l2f2_rs, det)
     assert max(len(rule.lhs) for rule in q.rules) == 4
     assert q.check_critical_pairs().confluent
-    assert q.check_local_confluence(7).confluent
+    assert check_local_confluence(q, 7).confluent
     assert q.normal_form(det) == NCPoly.one()
