@@ -112,15 +112,16 @@ class AlgebraSpec:
     def rows(self, tensor: str, positions: tuple) -> dict:
         """The entries of `tensor` ('eps', 'd' or 'c') grouped by their
         indices at `positions`: {bound: [(key, value), ...]}, keys as index
-        tuples, each list in entry order.  Built on first use and cached."""
+        tuples, each list in entry order.  Built on first use and cached;
+        the cache only ever holds whole tables."""
         table = self._rows.get((tensor, positions))
         if table is None:
             entries = ({(mu,): v for mu, v in self.eps.items()} if tensor == "eps"
                        else getattr(self, tensor))
-            bound = _getter(positions)
-            table = self._rows[(tensor, positions)] = {}
+            bound, table = _getter(positions), {}
             for key, val in entries.items():
                 table.setdefault(bound(key), []).append((key, val))
+            self._rows[(tensor, positions)] = table
         return table
 
     @property

@@ -20,7 +20,6 @@ expansion from the antipode law and property-tests the law itself.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 
 from .cyclotomic import CycNum, checked_integers, q_integer, root_of_unity
 from .expr import ExprError, parse_expr
@@ -153,19 +152,12 @@ def counit(p: ThetaPoly) -> CycNum:
     return p.terms.get((0,) * p.vars, CycNum.zero())
 
 
-@lru_cache(maxsize=None)
-def _antipode_monomial(n: int, k: int) -> CycNum:
-    """Closed-form antipode coefficient on t^k: reversing k strands
-    accumulates k(k-1)/2 crossings."""
-    sign = CycNum.one() if k % 2 == 0 else -CycNum.one()
-    return sign * root_of_unity(n, k * (k - 1) // 2)
-
-
 def antipode(p: ThetaPoly) -> ThetaPoly:
+    """S(t^k) = (-1)^k zeta_n^(k(k-1)/2) t^k."""
     if p.vars != 1:
         raise ValueError("antipode is defined on the one-variable line")
-    return p._raw(nonzero({k: _antipode_monomial(p.n, k[0]) * v
-                           for k, v in p.terms.items()}))
+    return p._raw(nonzero({(k,): root_of_unity(p.n, k * (k - 1) // 2) * (-v if k % 2 else v)
+                           for (k,), v in p.terms.items()}))
 
 
 def braided_derivative(p: ThetaPoly) -> ThetaPoly:

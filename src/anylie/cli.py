@@ -18,7 +18,8 @@ fails verification without --force, a rewrite that exhausts its step
 budget, a quotient closure that does not close, nf on rules whose
 critical pairs do not all resolve), 2 input or usage errors (also a
 --quotient element that is not grouplike or not central, and a
---degree-cap below 3).  All output is a pure
+--degree-cap below 3 or, without --json, one whose word count has more
+digits than Python prints).  All output is a pure
 function of files and flags; repeated runs are byte-identical.
 """
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -197,11 +199,25 @@ def _envelope(args):
     return spec, rels, build_rewrite_system(rels, spec.dim, order=order)
 
 
+def _words_up_to(dim: int, cap: int) -> int:
+    """How many words of length 2..cap a confluent verdict names (the
+    diamond lemma covers them all): the sum of dim^k.  A count with more
+    digits than `str` prints is refused, uncomputed when dim^cap has them."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (before 3.10.7)
+    if not (limit and dim > 1 and cap * math.log10(dim) >= limit):  # count > dim^cap
+        count = cap - 1 if dim == 1 else (dim ** (cap + 1) - dim * dim) // (dim - 1)
+        if not limit or count < 10 ** limit:
+            return count
+    raise ValueError(f"--degree-cap {cap} gives a word count of more than "
+                     f"{limit} digits, too long to print")
+
+
 def cmd_env(args) -> int:
     if args.degree_cap < 3:
         raise ValueError("degree_cap must be >= 3 to see overlaps")
     spec, rels, rs = _envelope(args)
     labels = spec.basis
+    words = None if args.json else _words_up_to(spec.dim, args.degree_cap)
     if args.quotient:
         poly = _parse_poly(spec, args.quotient)
         grouplike, witnesses = is_grouplike(spec, rs, poly)
@@ -215,9 +231,6 @@ def cmd_env(args) -> int:
                 f"p*{labels[g]} - {labels[g]}*p = {w.render(labels)}" for g, w in witnesses[:2]))
         rs = quotient_by_central_grouplike(rs, poly)
     conf = rs.check_critical_pairs()
-    if conf.confluent:
-        # the diamond lemma covers every word; the verdict names those up to the cap
-        conf.words_checked = sum(spec.dim ** k for k in range(2, args.degree_cap + 1))
     rules = sorted(rs.rules, key=lambda r: (len(r.lhs), r.lhs))
     if args.json:
         payload = {
@@ -249,6 +262,7 @@ def cmd_env(args) -> int:
     if args.quotient:
         for rule in rules:
             print(f"{render_word(rule.lhs, labels)} -> {rule.rhs.render(labels)}")
+    conf.words_checked = words
     print(conf.render(labels))
     return 0
 

@@ -166,10 +166,6 @@ class RewriteSystem:
     compatible with concatenation, so a rule set whose right sides lie
     below their left sides terminates.  Left sides may have any positive
     width: the enveloping relations give width 2, quotients add others.
-
-    `normal_form` memoises the normal form of every single word it reduces
-    with coefficient 1 in `_nf_cache`, an unbounded per-instance dict that
-    is never evicted; it lives as long as the system does.
     """
 
     def __init__(self, ngens: int, rules, order=None):
@@ -184,7 +180,6 @@ class RewriteSystem:
         self.rules = []
         self._index = {}  # each nonempty prefix of a left side -> rules with that lhs
         self._widths = ()  # the lengths of the left sides, ascending
-        self._nf_cache = {}
         for rule in rules:
             self._add(rule)
 
@@ -197,7 +192,6 @@ class RewriteSystem:
         self._index.setdefault(rule.lhs, []).append(rule)
         if len(rule.lhs) not in self._widths:
             self._widths = tuple(sorted(self._widths + (len(rule.lhs),)))
-        self._nf_cache.clear()
 
     # -- word order --------------------------------------------------------
 
@@ -245,11 +239,6 @@ class RewriteSystem:
         steps = 0
         while stack:
             word, coeff = stack.pop()
-            cached = self._nf_cache.get(word)
-            if cached is not None:
-                for w, v in cached.terms.items():
-                    accumulate(result, w, coeff * v)
-                continue
             for i, rule in self._redexes(word):
                 break
             else:
@@ -261,12 +250,7 @@ class RewriteSystem:
             prefix, suffix = word[:i], word[i + len(rule.lhs) :]
             for w, v in rule.rhs.terms.items():
                 stack.append((prefix + w + suffix, coeff * v))
-        out = poly._raw(nonzero(result))
-        if len(poly.terms) == 1:
-            ((word, coeff),) = poly.terms.items()
-            if coeff.is_one():
-                self._nf_cache[word] = out
-        return out
+        return poly._raw(nonzero(result))
 
     def nf_word(self, word) -> NCPoly:
         return self.normal_form(NCPoly.word(word))

@@ -5,7 +5,7 @@ import pytest
 from anylie.algebra import (AlgebraSpec, SpecFormatError, check_bracket_counit,
                             check_braided_jacobi, check_coalgebra, check_cocommutation,
                             check_delta_bracket, check_grading, verify_all)
-from anylie.constructions import build_ansatz
+from anylie.constructions import build_ansatz, build_matrix_type
 from anylie.cyclotomic import CycNum
 from anylie.envelope import NCPoly, counit_on_poly
 from anylie.grading import Bicharacter
@@ -297,3 +297,23 @@ def test_cocommutation_fails_with_nonzero_odd_bracket():
     # same bad grading as the abelian case, now with a bracket present
     spec = build_ansatz(Bicharacter.anyonic(3), (1, 1), {(1, 2, 1): 1})
     assert not check_cocommutation(spec).passed
+
+
+def test_rows_never_publishes_a_half_filled_table():
+    """A reader that gets in while a table is filled, here re-entrantly
+    from inside the fill, must not see the entries read so far."""
+    spec = build_matrix_type(2, Bicharacter.anyonic(3), (0, 1))
+    seen = []
+
+    class Spy(dict):
+        def items(self):
+            for count, item in enumerate(super().items()):
+                if count == 3 and not seen:  # one-shot: the inner fill reads items() too
+                    seen.append(None)
+                    seen[0] = sum(map(len, spec.rows("d", (0,)).values()))
+                yield item
+
+    spec.d = Spy(spec.d)
+    table = spec.rows("d", (0,))
+    assert seen == [8]
+    assert sum(map(len, table.values())) == 8

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,29 @@ def assert_one_error_line(proc, code, needle):
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ") and needle in line
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5])
+def test_env_word_count_is_the_sum_over_lengths(l2f3_file, capsys, cap):
+    assert main(["env", l2f3_file, "--degree-cap", str(cap)]) == 0
+    count = sum(4 ** k for k in range(2, cap + 1))
+    assert capsys.readouterr().out.splitlines()[-1] == f"locally confluent ({count} words checked)"
+
+
+@pytest.mark.parametrize("cap", ["10000", "200000"])
+def test_env_refuses_a_word_count_too_long_to_print(l2f3_file, cap):
+    """Once half a report was printed before a ValueError from str(N);
+    at cap 200000 the sum alone took minutes."""
+    start = time.perf_counter()
+    proc = run_cli("env", l2f3_file, "--degree-cap", cap)
+    assert time.perf_counter() - start < 2
+    assert_one_error_line(proc, 2, f"--degree-cap {cap} gives a word count of more than")
+
+
+def test_env_json_takes_a_cap_whose_count_is_too_long_to_print(l2f3_file, capsys):
+    assert main(["env", l2f3_file, "--json", "--degree-cap", "200000"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["degree_cap"] == 200000 and data["confluent"] is True
 
 
 def test_env_quotient_refuses_an_element_that_is_not_central(tmp_path):

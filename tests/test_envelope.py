@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -236,6 +237,19 @@ def test_quotient_by_determinant(l2f3, l2f3_rs):
     assert q.nf_word((D, A)) == NCPoly.one()
     # the quotient is the Laurent ring in a: powers of a stay free
     assert q.nf_word((A, A)) == NCPoly({(A, A): ONE})
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+def test_queries_leave_a_rewrite_system_unchanged(l2f3_rs, quotient):
+    """normal_form is a pure function of the rules: nothing is memoised."""
+    det = NCPoly({(A, D): ONE, (C, B): -ONE})
+    rs = quotient_by_central_grouplike(l2f3_rs, det) if quotient else l2f3_rs
+    before = copy.deepcopy(vars(rs))
+    for word in [(A,), (D, A), (C, B, A), (D, C, B, A), (D, D, A, A)]:
+        rs.nf_word(word)
+    assert rs.check_critical_pairs().confluent
+    assert rs.is_central(det)[0]
+    assert vars(rs) == before
 
 
 def test_quotient_by_x0_realizes_classical_enveloping(sl2_ansatz, sl2_rs):
