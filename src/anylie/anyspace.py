@@ -107,23 +107,11 @@ class ThetaPoly(LinComb):
     def _unit_key(self):
         return (0,) * self.vars
 
-    def coefficient(self, exps) -> CycNum:
-        return self.terms.get(tuple(exps), CycNum.zero())
-
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps in sorted(self.terms):
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"t{i + 1}")
-                elif e > 1:
-                    factors.append(f"t{i + 1}^{e}")
-            mono = "*".join(factors) if factors else "1"
-            parts.append(f"({self.terms[exps]})*{mono}")
-        return " + ".join(parts)
+        def monomial(exps):
+            factors = [f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}" for i, e in enumerate(exps) if e]
+            return "*" + ("*".join(factors) or "1")
+        return self._render(monomial)
 
     def __repr__(self):
         return f"ThetaPoly[n={self.n}]({self.render()})"
@@ -149,7 +137,7 @@ def coproduct(p: ThetaPoly) -> ThetaPoly:
 
 def counit(p: ThetaPoly) -> CycNum:
     """Evaluation at all slots = 0: the constant coefficient."""
-    return p.terms.get((0,) * p.vars, CycNum.zero())
+    return p.coefficient((0,) * p.vars)
 
 
 def antipode(p: ThetaPoly) -> ThetaPoly:
@@ -173,7 +161,7 @@ def braided_integral(p: ThetaPoly) -> CycNum:
     """Berezin-style integral: the coefficient of t^(n-1)."""
     if p.vars != 1:
         raise ValueError("the integral acts on the one-variable line")
-    return p.terms.get((p.n - 1,), CycNum.zero())
+    return p.coefficient((p.n - 1,))
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +170,25 @@ def braided_integral(p: ThetaPoly) -> CycNum:
 
 _VAR = re.compile(r"t(\d+)")
 
+# Tensor slots an expression may span.  Every term holds one exponent per
+# slot, so this bounds each tuple before one is built; the tests, goldens
+# and benchmark commands use at most 3.
+MAX_SLOTS = 64
+
 
 def parse_theta_expr(src: str, n: int, vars: int = None) -> ThetaPoly:
     """Read an expression in t1..tm in the grammar of `anylie.expr`.
 
     If `vars` is omitted, the number of slots is the largest variable
-    index that appears (at least 1).
+    index that appears (at least 1).  More than `MAX_SLOTS` slots raise
+    `ExprError`, naming `--vars` or the variable that asks for them.
     """
-    if vars is None:
+    given = vars is not None
+    if not given:
         vars = max([1] + [int(k) for k in _VAR.findall(src)])
+    if vars > MAX_SLOTS:
+        what = f"--vars {vars}" if given else f"variable t{vars} in {src!r}"
+        raise ExprError(f"{what} asks for more than {MAX_SLOTS} tensor slots")
 
     def read_var(text, pos):
         match = _VAR.match(text, pos)

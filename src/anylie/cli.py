@@ -234,18 +234,8 @@ def cmd_env(args) -> int:
     rules = sorted(rs.rules, key=lambda r: (len(r.lhs), r.lhs))
     if args.json:
         payload = {
-            "relations": [
-                {"lhs": list(r.lhs),
-                 "rhs": [{"pair": list(k), "val": v.to_json()}
-                         for k, v in sorted(r.rhs.terms.items())]}
-                for r in rels
-            ],
-            "rules": [
-                {"lhs": list(rule.lhs),
-                 "rhs": [{"word": list(w), "val": v.to_json()}
-                         for w, v in sorted(rule.rhs.terms.items())]}
-                for rule in rules
-            ],
+            "relations": [{"lhs": list(r.lhs), "rhs": r.rhs.terms_json("pair")} for r in rels],
+            "rules": [{"lhs": list(r.lhs), "rhs": r.rhs.terms_json("word")} for r in rules],
             "zero_pairs": sorted(list(p) for p in rs.zero_pairs),
             "nilpotents": sorted(rs.nilpotents),
             "confluent": conf.confluent,
@@ -305,8 +295,7 @@ def cmd_nf(args) -> int:
         raise CompletionError(f"normal forms are not unique: the critical pair at {at} diverges")
     nf = rs.nf_word(word)
     if args.json:
-        print(json.dumps({"nf": [{"word": list(w), "val": v.to_json()}
-                                 for w, v in sorted(nf.terms.items())]}, sort_keys=True))
+        print(json.dumps({"nf": nf.terms_json("word")}, sort_keys=True))
     else:
         print(nf.render(spec.basis))
     return 0
@@ -315,9 +304,7 @@ def cmd_nf(args) -> int:
 def cmd_anyspace(args) -> int:
     poly = parse_theta_expr(args.expr, args.n, args.vars)
     if args.json:
-        payload = {"n": poly.n, "vars": poly.vars,
-                   "terms": [{"exponents": list(k), "val": v.to_json()}
-                             for k, v in sorted(poly.terms.items())]}
+        payload = {"n": poly.n, "vars": poly.vars, "terms": poly.terms_json("exponents")}
         print(json.dumps(payload, sort_keys=True))
     else:
         print(poly.render())

@@ -105,13 +105,8 @@ class NCPoly(LinComb):
         return a + b, None
 
     def render(self, labels) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            coeff = self.terms[word]
-            parts.append(f"({coeff})*{render_word(word, labels)}" if word else f"({coeff})")
-        return " + ".join(parts)
+        return self._render(lambda w: f"*{render_word(w, labels)}" if w else "",
+                            lambda w: (len(w), w))
 
     def __repr__(self):
         return f"NCPoly({self.terms})"
@@ -409,14 +404,10 @@ class TensorSquarePoly(LinComb):
         return self._raw(nonzero(out))
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
         labels = self.spec.basis
-        parts = []
-        for (w1, w2) in sorted(self.terms, key=lambda k: (len(k[0]) + len(k[1]), k)):
-            parts.append(f"({self.terms[(w1, w2)]})*"
-                         f"{render_word(w1, labels)}(x){render_word(w2, labels)}")
-        return " + ".join(parts)
+        return self._render(
+            lambda k: f"*{render_word(k[0], labels)}(x){render_word(k[1], labels)}",
+            lambda k: (len(k[0]) + len(k[1]), k))
 
     def __repr__(self):
         return f"TensorSquarePoly({self.render()})"

@@ -1,4 +1,5 @@
-"""Sparse linear combinations over Q(zeta_m) and their one product.
+"""Sparse linear combinations over Q(zeta_m): their one product, printer
+and JSON term list.
 
 Polynomials in the enveloping algebra, its braided tensor square and the
 anyspace are all finite sums of keys with cyclotomic coefficients, stored
@@ -6,6 +7,9 @@ as a dict from key to nonzero `CycNum`.  Each product joins two keys
 into one; in the tensor square and the anyspace, factors that cross pick
 up the braiding phase of their degrees.  `LinComb.__mul__` sums over
 pairs of terms; a subclass says only how two keys multiply (`_times`).
+Output is shared the same way: a subclass's `render` passes only how one
+key prints and how keys sort to `_render`, and the command line encodes
+every combination's terms with `terms_json`.
 """
 
 from __future__ import annotations
@@ -59,6 +63,22 @@ class LinComb:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def coefficient(self, key) -> CycNum:
+        """The coefficient of `key`, zero when it has no term."""
+        return self.terms.get(tuple(key), CycNum.zero())
+
+    def _render(self, key_text, sort_key=None) -> str:
+        """'0' for no terms, else each term as '(coefficient)' followed by
+        `key_text(key)`, keys sorted by `sort_key`, joined by ' + '."""
+        if not self.terms:
+            return "0"
+        return " + ".join(f"({self.terms[key]}){key_text(key)}"
+                          for key in sorted(self.terms, key=sort_key))
+
+    def terms_json(self, name: str) -> list:
+        """The terms in key order as JSON: [{name: list(key), "val": coefficient}]."""
+        return [{name: list(key), "val": self.terms[key].to_json()} for key in sorted(self.terms)]
 
     def __add__(self, other):
         self._check_shape(other)

@@ -12,9 +12,10 @@ from anylie.algebra import (AlgebraSpec, AxiomReport, CheckResult, SpecFormatErr
 from anylie.anyspace import ExprError, ThetaPoly
 from anylie.cli import _match_label
 from anylie.constructions import _ansatz_data
-from anylie.cyclotomic import (CycNum, _power_rows, checked_integers, cyclotomic_polynomial,
-                               q_binomial, root_of_unity)
+from anylie.cyclotomic import (CycNum, _conjugate, _power_rows, checked_integers,
+                               cyclotomic_polynomial, q_binomial, root_of_unity)
 from anylie.envelope import ConfluenceReport, NCPoly, RewriteSystem, Rule
+from anylie.grading import Bicharacter
 from anylie.sparse import accumulate, nonzero
 
 
@@ -142,6 +143,29 @@ def widened(p: ThetaPoly, vars: int, offset: int = 0) -> ThetaPoly:
         new[offset:offset + p.vars] = exps
         out[tuple(new)] = val
     return ThetaPoly(p.n, vars, out)
+
+
+# The Galois law: sigma_k (zeta -> zeta^k, k a unit) applied to every entry,
+# with the bicharacter matrix multiplied by k so that every phase is
+# conjugated too, must conjugate every result.  The oracle for the law in
+# tests/test_metamorphic.py.
+
+def conjugate(x: CycNum, k: int) -> CycNum:
+    """sigma_k(x): each power of zeta_m in x raised to the k-th, k prime to m."""
+    assert gcd(k, x.order) == 1
+    return CycNum._make(x.order, _conjugate(x.nums, k, x.order), x.den)
+
+
+def conjugated(spec: AlgebraSpec, k: int) -> AlgebraSpec:
+    """`spec` with sigma_k applied to every entry of eps, d and c and the
+    bicharacter matrix multiplied by k."""
+    bichar = Bicharacter(spec.group, tuple(tuple(k * e for e in row)
+                                           for row in spec.bichar.matrix))
+
+    def conj(table):
+        return {key: conjugate(v, k) for key, v in table.items()}
+    return AlgebraSpec(bichar, spec.basis, spec.degrees, conj(spec.eps), conj(spec.d),
+                       conj(spec.c))
 
 
 # The enveloping-algebra orientation that elimination replaced: pair by
@@ -300,36 +324,56 @@ def rules_by_lhs(rs: RewriteSystem) -> dict:
     return by_lhs
 
 
-def one_step_reducts(rs: RewriteSystem, word, by_lhs=None) -> list:
-    """Every single rewrite of the word: leftmost position first, then
-    narrower left sides, then the rules in the order of rs.rules.  `by_lhs`
-    is `rules_by_lhs(rs)`, built here when omitted."""
-    by_lhs = rules_by_lhs(rs) if by_lhs is None else by_lhs
-    reducts = []
+def _rewrites(word, by_lhs):
+    """(prefix, rule, suffix) for every single rewrite of the word: leftmost
+    position first, then narrower left sides, then the rules in the order
+    of rs.rules."""
     for i in range(len(word)):
         for width in range(1, len(word) - i + 1):
             for rule in by_lhs.get(word[i:i + width], ()):
-                reducts.append(NCPoly({word[:i] + w + word[i + width:]: v
-                                       for w, v in rule.rhs.terms.items()}))
-    return reducts
+                yield word[:i], rule, word[i + width:]
+
+
+def one_step_reducts(rs: RewriteSystem, word, by_lhs=None) -> list:
+    """Every single rewrite of the word, in the order of `_rewrites`.
+    `by_lhs` is `rules_by_lhs(rs)`, built here when omitted."""
+    by_lhs = rules_by_lhs(rs) if by_lhs is None else by_lhs
+    return [NCPoly({prefix + w + suffix: v for w, v in rule.rhs.terms.items()})
+            for prefix, rule, suffix in _rewrites(word, by_lhs)]
 
 
 def check_local_confluence(rs: RewriteSystem, degree_cap: int = 4) -> ConfluenceReport:
     """Reduce every word of length 2..degree_cap along every one-step choice
-    and compare the resulting normal forms; one divergence per word."""
+    and compare the resulting normal forms; one divergence per word.
+
+    A reduct's normal form is the sum of its terms' normal forms, each word
+    reduced once and kept in a memo local to this call: `normal_form`
+    rewrites every term on its own, so the sums are the same."""
     by_lhs = rules_by_lhs(rs)
+    memo = {}
+
+    def normal_form(prefix, rhs, suffix):
+        out = {}
+        for w, v in rhs.terms.items():
+            word = prefix + w + suffix
+            if word not in memo:
+                memo[word] = rs.nf_word(word).terms
+            for u, c in memo[word].items():
+                accumulate(out, u, v * c)
+        return nonzero(out)
+
     divergences = []
     checked = 0
     for length in range(2, degree_cap + 1):
         for word in product(range(rs.ngens), repeat=length):
             checked += 1
             forms = []
-            for reduct in one_step_reducts(rs, word, by_lhs):
-                nf = rs.normal_form(reduct)
+            for prefix, rule, suffix in _rewrites(word, by_lhs):
+                nf = normal_form(prefix, rule.rhs, suffix)
                 if all(nf != f for f in forms):
                     forms.append(nf)
             if len(forms) > 1:
-                divergences.append((word, forms))
+                divergences.append((word, [NCPoly(f) for f in forms]))
     return ConfluenceReport(not divergences, divergences, checked)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from anylie import cli
 from anylie.algebra import AlgebraSpec, verify_all
+from anylie.anyspace import MAX_SLOTS
 from anylie.cli import main
 from anylie.cyclotomic import CycNum
 from anylie.envelope import NCPoly
@@ -566,6 +567,29 @@ def test_anyspace_expand(capsys):
 
 def test_anyspace_bad_expression_exits_2(capsys):
     assert main(["anyspace", "--n", "3", "expand", "(t1+"]) == 2
+
+
+@pytest.mark.parametrize("args, named", [
+    (["t99999999999999999999"], "variable t99999999999999999999"),
+    (["t1", "--vars", "99999999999999999999"], "--vars 99999999999999999999"),
+    ([f"t{MAX_SLOTS + 1}"], f"variable t{MAX_SLOTS + 1}"),
+    (["t1", "--vars", str(MAX_SLOTS + 1)], f"--vars {MAX_SLOTS + 1}"),
+])
+def test_anyspace_slot_count_past_the_limit_exits_2(args, named, capsys):
+    """A slot count above MAX_SLOTS is refused before any exponent tuple
+    is built: one stderr line naming the flag or the variable, no traceback."""
+    assert main(["anyspace", "--n", "3", "expand"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {named}") and f"{MAX_SLOTS} tensor slots" in line
+
+
+def test_anyspace_slot_count_at_the_limit_expands(capsys):
+    assert main(["anyspace", "--n", "3", "expand", f"t{MAX_SLOTS}"]) == 0
+    assert capsys.readouterr().out == f"(1)*t{MAX_SLOTS}\n"
+    assert main(["anyspace", "--n", "3", "expand", "t1", "--vars", str(MAX_SLOTS)]) == 0
+    assert capsys.readouterr().out == "(1)*t1\n"
 
 
 def test_search_finds_one_dimensional_case(capsys):

@@ -1,15 +1,19 @@
-"""Metamorphic tests for `verify_all`: relabelling the data that a verdict
-cannot depend on must leave the verdicts alone and move the witnesses
-exactly as the data moved."""
+"""Metamorphic tests: relabelling the data that a verdict cannot depend on
+must leave the verdicts alone and move the witnesses exactly as the data
+moved, and conjugating every number must conjugate every result."""
 
 import random
+from math import gcd, lcm
 
 import pytest
 
 from anylie.algebra import AlgebraSpec, verify_all
 from anylie.constructions import build_matrix_type
 from anylie.cyclotomic import CycNum
+from anylie.envelope import build_rewrite_system, generate_relations
 from anylie.grading import Bicharacter, GradingGroup
+
+from reference import conjugate, conjugated
 
 
 def rebuilt(spec, eps=None, c=None):
@@ -87,3 +91,65 @@ def test_basis_permutation_permutes_witnesses(N, n, f, perturb):
     random.Random(N * 100 + n).shuffle(perm)
     report = verify_all(permuted(spec, perm))
     assert rendered(report, index_map=perm.__getitem__) == rendered(verify_all(spec))
+
+
+# -- the Galois law ------------------------------------------------------------
+
+def galois_cases():
+    """(label, spec, k): four matrix-family specs and a one-entry bracket
+    perturbation of each, with up to three units k != 1 modulo the lcm of
+    the group exponent and every entry's order; and the Z/3 x Z/3 spec
+    with a non-symmetric bicharacter at k = 2."""
+    cases = []
+    for N, n, f in [(2, 3, (0, 1)), (3, 5, (0, 1, 3)), (3, 3, (0, 0, 1)), (2, 7, (0, 3))]:
+        for perturb in (None, perturbed_bracket):
+            spec = matrix_spec(N, Bicharacter.anyonic(n), f, perturb)
+            m = lcm(n, *(v.order for t in (spec.eps, spec.d, spec.c) for v in t.values()))
+            label = f"N={N} n={n} f={f}" + (" perturbed" if perturb else "")
+            units = [k for k in range(2, m) if gcd(k, m) == 1][:3]
+            cases += [(label, spec, k) for k in units]
+    group33 = Bicharacter(GradingGroup((3, 3)), matrix=((0, 1), (0, 0)))
+    cases.append(("Z/3xZ/3", build_matrix_type(3, group33, [(0, 0), (1, 0), (0, 1)]), 2))
+    return cases
+
+
+GALOIS_CASES = galois_cases()
+
+
+def conjugated_value(value, k):
+    return conjugate(value, k) if isinstance(value, CycNum) else value
+
+
+def test_galois_cases_cover_every_kind():
+    """Passing and failing specs, confluent and divergent rule sets."""
+    assert len(GALOIS_CASES) == 17
+    assert {verify_all(spec).passed for _, spec, _ in GALOIS_CASES} == {True, False}
+    assert {build_rewrite_system(generate_relations(spec), spec.dim).check_critical_pairs()
+            .confluent for _, spec, _ in GALOIS_CASES} == {True, False}
+
+
+@pytest.mark.parametrize("label, spec, k", GALOIS_CASES,
+                         ids=[f"{label} k={k}" for label, _, k in GALOIS_CASES])
+def test_galois_conjugation_conjugates_every_result(label, spec, k):
+    """sigma_k on every entry, with the bicharacter matrix times k, keeps
+    every verdict and witness index and conjugates every value: the
+    witnesses' sides, the rules' right sides, and nothing else."""
+    image = conjugated(spec, k)
+
+    report, image_report = verify_all(spec), verify_all(image)
+    assert [(ch.name, ch.passed) for ch in image_report.checks + image_report.info] == \
+        [(ch.name, ch.passed) for ch in report.checks + report.info]
+    for ch, image_ch in zip(report.checks + report.info, image_report.checks + image_report.info):
+        assert [(w.indices, w.lhs, w.rhs) for w in image_ch.witnesses] == \
+            [(w.indices, conjugated_value(w.lhs, k), conjugated_value(w.rhs, k))
+             for w in ch.witnesses]
+
+    rs = build_rewrite_system(generate_relations(spec), spec.dim)
+    image_rs = build_rewrite_system(generate_relations(image), image.dim)
+    assert [r.lhs for r in image_rs.rules] == [r.lhs for r in rs.rules]
+    for rule, image_rule in zip(rs.rules, image_rs.rules):
+        assert image_rule.rhs.terms == {w: conjugate(v, k) for w, v in rule.rhs.terms.items()}
+
+    pairs, image_pairs = rs.check_critical_pairs(), image_rs.check_critical_pairs()
+    assert image_pairs.confluent == pairs.confluent
+    assert len(image_pairs.divergences) == len(pairs.divergences)

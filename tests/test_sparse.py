@@ -125,6 +125,35 @@ def test_product_matches_the_hand_written_loops(name):
             assert repr(new) == repr(old)
 
 
+Z3 = CycNum(3, (0, 1))
+PRINTED = [
+    (NCPoly({(2, 1): Z3, (): 2, (0,): -1, (1, 0): CycNum.from_rational("1/2")}),
+     lambda p: p.render(SPEC.basis),
+     "(2) + (-1)*x[1,1] + (1/2)*x[1,2]*x[1,1] + (z3)*x[2,1]*x[1,2]"),
+    (TensorSquarePoly(SPEC, {((1,), (2,)): 1, ((), (0, 3)): Z3, ((3,), ()): -2, ((), ()): 3}),
+     TensorSquarePoly.render,
+     "(3)*1(x)1 + (-2)*x[2,2](x)1 + (z3)*1(x)x[1,1]*x[2,2] + (1)*x[1,2](x)x[2,1]"),
+    (ThetaPoly(4, 2, {(0, 0): 5, (1, 0): Z3, (0, 3): -1, (2, 1): 1}),
+     ThetaPoly.render,
+     "(5)*1 + (-1)*t2^3 + (z3)*t1 + (1)*t1^2*t2"),
+]
+
+
+@pytest.mark.parametrize("poly, render, text", PRINTED,
+                         ids=[type(poly).__name__ for poly, _, _ in PRINTED])
+def test_one_printer_json_encoder_and_lookup(poly, render, text):
+    """Each kind prints in its own key order and key text through the one
+    printer; the JSON term list runs in key order; an absent key has
+    coefficient zero."""
+    assert render(poly) == text
+    assert render(poly - poly) == "0"
+    keys = sorted(poly.terms)
+    assert poly.terms_json("key") == [{"key": list(k), "val": poly.terms[k].to_json()}
+                                      for k in keys]
+    assert [poly.coefficient(k) for k in keys] == [poly.terms[k] for k in keys]
+    assert (poly - poly).coefficient(keys[0]).is_zero()
+
+
 def test_tensor_square_skips_unit_phases():
     """Legs that cross with phase 1 (here an empty leg) give no phase to
     multiply by; a degree crossing itself does."""
