@@ -42,7 +42,7 @@ from functools import reduce
 from itertools import starmap
 from operator import itemgetter, mul
 
-from .cyclotomic import CycNum, checked_integers
+from .cyclotomic import CycNum, _from_sparse, _sparse_product, _to_sparse, checked_integers
 from .grading import Bicharacter
 from .sparse import accumulate
 
@@ -74,7 +74,8 @@ class SpecFormatError(ValueError):
 class AlgebraSpec:
     """Immutable bundle of basis, degrees and the three structure tensors."""
 
-    __slots__ = ("bichar", "basis", "degrees", "eps", "d", "c", "_rows")
+    __slots__ = ("bichar", "basis", "degrees", "eps", "d", "c", "_rows", "_sparse_tables",
+                 "_forms")
 
     def __init__(self, bichar: Bicharacter, basis, degrees, eps, d, c):
         dim = len(basis)
@@ -107,7 +108,7 @@ class AlgebraSpec:
         self.eps = clean(eps, "eps", 1)
         self.d = clean(d, "d", 3)
         self.c = clean(c, "c", 3)
-        self._rows = {}
+        self._rows, self._sparse_tables, self._forms = {}, {}, {}
 
     def rows(self, tensor: str, positions: tuple) -> dict:
         """The entries of `tensor` ('eps', 'd' or 'c') grouped by their
@@ -116,13 +117,35 @@ class AlgebraSpec:
         the cache only ever holds whole tables."""
         table = self._rows.get((tensor, positions))
         if table is None:
-            entries = ({(mu,): v for mu, v in self.eps.items()} if tensor == "eps"
-                       else getattr(self, tensor))
-            bound, table = _getter(positions), {}
-            for key, val in entries.items():
-                table.setdefault(bound(key), []).append((key, val))
-            self._rows[(tensor, positions)] = table
+            table = self._rows[(tensor, positions)] = self._grouped(tensor, positions, None)
         return table
+
+    def _sparse_rows(self, tensor: str, positions: tuple) -> dict:
+        """`rows` with each value as the sparse form that `Contraction`
+        carries, cached the same way; equal values share one form, so each
+        is converted once per spec."""
+        table = self._sparse_tables.get((tensor, positions))
+        if table is None:
+            table = self._sparse_tables[(tensor, positions)] = \
+                self._grouped(tensor, positions, self._form)
+        return table
+
+    def _grouped(self, tensor: str, positions: tuple, convert) -> dict:
+        """The table of `rows`, each value passed through `convert` if given."""
+        entries = ({(mu,): v for mu, v in self.eps.items()} if tensor == "eps"
+                   else getattr(self, tensor))
+        bound, table = _getter(positions), {}
+        for key, val in entries.items():
+            table.setdefault(bound(key), []).append((key, convert(val) if convert else val))
+        return table
+
+    def _form(self, val: CycNum) -> tuple:
+        """The sparse form of `val`, shared by every entry equal to it."""
+        key = (val.order, val.nums, val.den)
+        form = self._forms.get(key)
+        if form is None:
+            form = self._forms[key] = _to_sparse(val)
+        return form
 
     @property
     def dim(self) -> int:
@@ -209,8 +232,12 @@ class Contraction:
     first factor is scanned and each later one looked up by the letters
     bound before it.  A partial product is formed only once the next lookup
     is nonempty; the phase joins it at the factor binding its last letter,
-    computed once per degree tuple.  Scalars meet `*`, `accumulate` and
-    the negation of a phase only.
+    computed once per degree tuple.  Products are carried unreduced, as the
+    sparse forms of `anylie.cyclotomic` (a matrix-family entry or a phase
+    is one monomial, so a factor costs one integer multiply), and each
+    finished term is folded into a `CycNum` once, of the lcm of its
+    factors' orders, the value and order that `*` would give.  Values enter
+    and leave as `CycNum`; the sparse form never leaves the join.
     """
 
     def __init__(self, factors: str, out: str, phase: str = ""):
@@ -238,7 +265,7 @@ class Contraction:
     def __call__(self, spec: "AlgebraSpec", acc=None) -> dict:
         """{out key: value} over the tensors of `spec`, added into `acc`."""
         acc = {} if acc is None else acc
-        tables = list(starmap(spec.rows, self._tables))
+        tables = list(starmap(spec._sparse_rows, self._tables))
         phase = None if self._phase_depth is None else self._phase_of(spec)
         self._join(0, tables[0].get((), ()), None, (), tables, phase, acc)
         return acc
@@ -256,16 +283,17 @@ class Contraction:
                 below = table.get(lookup(indices))
                 if not below:
                     continue
-            term = val if partial is None else partial * val
+            term = val if partial is None else _sparse_product(partial, val)
             if with_phase:
-                term = term * phase(indices)
+                term = _sparse_product(term, phase(indices))
             if last:
-                accumulate(acc, self._out(indices), term)
+                accumulate(acc, self._out(indices), _from_sparse(term))
             else:
                 self._join(depth + 1, below, term, indices, tables, phase, acc)
 
     def _phase_of(self, spec: "AlgebraSpec"):
-        """The phase of the bound indices, computed once per degree tuple."""
+        """The phase of the bound indices as a sparse form, computed once
+        per degree tuple."""
         negate, powers = self._phase
         key_of, degree, bichar = self._phase_key, spec.degrees.__getitem__, spec.bichar
         cache = {}
@@ -276,7 +304,7 @@ class Contraction:
             if value is None:
                 value = reduce(mul, [bichar.phase(degs[2 * i], degs[2 * i + 1], power)
                                      for i, power in enumerate(powers)])
-                value = cache[degs] = -value if negate else value
+                value = cache[degs] = _to_sparse(-value if negate else value)
             return value
         return phase
 

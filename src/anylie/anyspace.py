@@ -176,6 +176,14 @@ _VAR = re.compile(r"t(\d+)")
 MAX_SLOTS = 64
 
 
+def _slot(digits: str) -> int:
+    """The slot that a variable's index names; an index with more digits
+    than `MAX_SLOTS` reads as MAX_SLOTS + 1 without `int`, which refuses
+    strings past Python's conversion limit (4,300 digits)."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= len(str(MAX_SLOTS)) else MAX_SLOTS + 1
+
+
 def parse_theta_expr(src: str, n: int, vars: int = None) -> ThetaPoly:
     """Read an expression in t1..tm in the grammar of `anylie.expr`.
 
@@ -185,18 +193,19 @@ def parse_theta_expr(src: str, n: int, vars: int = None) -> ThetaPoly:
     """
     given = vars is not None
     if not given:
-        vars = max([1] + [int(k) for k in _VAR.findall(src)])
+        widest = max(_VAR.findall(src), key=_slot, default="1")
+        vars = max(1, _slot(widest))
     if vars > MAX_SLOTS:
-        what = f"--vars {vars}" if given else f"variable t{vars} in {src!r}"
+        what = f"--vars {vars}" if given else f"variable t{widest} in {src!r}"
         raise ExprError(f"{what} asks for more than {MAX_SLOTS} tensor slots")
 
     def read_var(text, pos):
         match = _VAR.match(text, pos)
         if match is None:
             return None
-        slot = int(match.group(1))
+        slot = _slot(match.group(1))
         if not 1 <= slot <= vars:
-            raise ExprError(f"variable t{slot} outside 1..{vars} in {text!r}")
+            raise ExprError(f"variable t{match.group(1)} outside 1..{vars} in {text!r}")
         return ThetaPoly.theta(n, vars, slot), match.end()
 
     return parse_expr(src, ThetaPoly.one(n, vars), read_var)

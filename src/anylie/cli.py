@@ -303,11 +303,16 @@ def cmd_nf(args) -> int:
 
 def cmd_anyspace(args) -> int:
     poly = parse_theta_expr(args.expr, args.n, args.vars)
-    if args.json:
-        payload = {"n": poly.n, "vars": poly.vars, "terms": poly.terms_json("exponents")}
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(poly.render())
+    try:
+        if args.json:
+            payload = {"n": poly.n, "vars": poly.vars, "terms": poly.terms_json("exponents")}
+            text = json.dumps(payload, sort_keys=True)
+        else:
+            text = poly.render()
+    except ValueError:  # Python refuses to write an int past its digit limit
+        raise ValueError(f"a coefficient of the expansion has more than "
+                         f"{sys.get_int_max_str_digits()} digits, too many to print") from None
+    print(text)
     return 0
 
 

@@ -8,7 +8,11 @@ equality is tuple equality.  One cached table, `_power_rows(m)`, holds the
 integer coordinates of z^e for e < m, and `_reduce` folds an integer
 polynomial of any length onto the basis through it: construction, products,
 lifting, conjugates and roots of unity take this one path.  Reduction makes
-the representation a genuine field: no zero divisors, exact inverses.
+the representation a genuine field: no zero divisors, exact inverses.  The
+one place that defers it is the structure-tensor join: there a product of
+entries is carried as a sparse element of Q[x]/(x^m - 1) (`_to_sparse`,
+`_sparse_product`) and folded onto the basis once per finished term
+(`_from_sparse`), through the same table.
 Mixed-order arithmetic embeds both operands into Q(zeta_L), L = lcm of the
 orders, via z_m = z_L^(L/m).  Elements are never re-minimised into a
 smaller cyclotomic subfield; they keep their declared order.
@@ -119,6 +123,69 @@ def _reduce(coeffs: list, m: int) -> list:
                 if r:
                     out[i] += c * r
     return out
+
+
+# A sparse form is (m, den, ((e, c), ...)): sum(c * x^e) / den in
+# Q[x]/(x^m - 1), whose image at x = zeta_m is a number of Q(zeta_m).  In it
+# a product is index addition mod m and a change of order is index scaling,
+# so it carries the products of `anylie.algebra.Contraction` unreduced; a
+# signed root of unity times a rational is one monomial.
+
+@lru_cache(maxsize=None)
+def _root_exponents(m: int) -> dict:
+    """{coordinates of z^e: e} over the power table of Q(zeta_m)."""
+    return {row: e for e, row in enumerate(_power_rows(m))}
+
+
+def _to_sparse(x: "CycNum") -> tuple:
+    """x as a sparse form of its own order: one monomial when x is a
+    rational times +-z^e, found by one dict lookup; else its coordinates."""
+    m, nums = x.order, x.nums
+    g = gcd(*nums)
+    if g:
+        roots = _root_exponents(m)
+        unit = tuple(c // g for c in nums)
+        e = roots.get(unit)
+        if e is None:
+            e, g = roots.get(tuple(-c for c in unit)), -g
+        if e is not None:
+            return m, x.den, ((e, g),)
+    return m, x.den, tuple((e, c) for e, c in enumerate(nums) if c)
+
+
+def _sparse_product(a: tuple, b: tuple) -> tuple:
+    """The product of two sparse forms, in the lcm L of their orders, where
+    z_m = z_L^(L/m): for two monomials one integer multiply."""
+    ma, da, ta = a
+    mb, db, tb = b
+    m = ma if ma == mb else lcm(ma, mb)
+    sa, sb = m // ma, m // mb
+    if len(ta) == 1 and len(tb) == 1:
+        (ea, ca), (eb, cb) = ta[0], tb[0]
+        return m, da * db, (((ea * sa + eb * sb) % m, ca * cb),)
+    prod = {}
+    for ea, ca in ta:
+        for eb, cb in tb:
+            e = (ea * sa + eb * sb) % m
+            prod[e] = prod.get(e, 0) + ca * cb
+    return m, da * db, tuple(prod.items())
+
+
+def _from_sparse(form: tuple) -> "CycNum":
+    """A sparse form as a CycNum of its order: one fold through
+    `_power_rows`, whose first phi(m) rows are the unit vectors."""
+    m, den, terms = form
+    rows = _power_rows(m)
+    deg = len(rows[0])
+    out = [0] * deg
+    for e, c in terms:
+        if e < deg:
+            out[e] += c
+        else:
+            for i, r in enumerate(rows[e]):
+                if r:
+                    out[i] += c * r
+    return CycNum._make(m, out, den)
 
 
 def _lowest(nums, den: int) -> tuple:

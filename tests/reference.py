@@ -4,8 +4,10 @@ conveniences kept out of the library."""
 import cmath
 import json
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import gcd
+from operator import mul
 
 from anylie.algebra import (AlgebraSpec, AxiomReport, CheckResult, SpecFormatError, Witness,
                             check_grading)
@@ -1228,3 +1230,53 @@ def theta_mul(self, other):
                 val = val * root_of_unity(n, crossings)
             accumulate(out, exps, val)
     return self._raw(nonzero(out))
+
+
+# The per-factor join that the sparse products of `Contraction` replaced:
+# each partial product a `CycNum` multiply, each phase a `CycNum` multiply,
+# each finished term added to its key with `accumulate`.  The body is
+# `Contraction.__call__` and `_join` as they were, reading the declaration
+# the contraction compiled.  The reference for tests/test_contraction.py.
+
+def ref_contract(contraction, spec: AlgebraSpec, acc=None) -> dict:
+    """{out key: value} of `contraction` over the tensors of `spec`, added
+    into `acc`, multiplying one factor at a time."""
+    acc = {} if acc is None else acc
+    tables = [spec.rows(tensor, bound) for tensor, bound in contraction._tables]
+    phase = None
+    if contraction._phase_depth is not None:
+        negate, powers = contraction._phase
+        key_of, bichar = contraction._phase_key, spec.bichar
+        cache = {}
+
+        def phase(env):
+            degs = tuple(spec.degrees[i] for i in key_of(env))
+            value = cache.get(degs)
+            if value is None:
+                value = reduce(mul, [bichar.phase(degs[2 * i], degs[2 * i + 1], power)
+                                     for i, power in enumerate(powers)])
+                value = cache[degs] = -value if negate else value
+            return value
+
+    def join(depth, entries, partial, env):
+        new = contraction._steps[depth][1]
+        last = depth + 1 == len(tables)
+        with_phase = depth == contraction._phase_depth
+        if not last:
+            table, lookup = tables[depth + 1], contraction._steps[depth + 1][0]
+        for key, val in entries:
+            indices = env + new(key)
+            if not last:
+                below = table.get(lookup(indices))
+                if not below:
+                    continue
+            term = val if partial is None else partial * val
+            if with_phase:
+                term = term * phase(indices)
+            if last:
+                accumulate(acc, contraction._out(indices), term)
+            else:
+                join(depth + 1, below, term, indices)
+
+    join(0, tables[0].get((), ()), None, ())
+    return acc

@@ -585,6 +585,22 @@ def test_anyspace_slot_count_past_the_limit_exits_2(args, named, capsys):
     assert line.startswith(f"error: {named}") and f"{MAX_SLOTS} tensor slots" in line
 
 
+@pytest.mark.parametrize("expr, named", [
+    ("t" + "9" * 5000, "error: variable t999"),
+    ("1" * 5000, "error: integer of 5000 digits at position 0"),
+    ("2^99999", "error: a coefficient of the expansion has more than"),
+])
+def test_anyspace_numbers_past_the_digit_limit_exit_2(expr, named, capsys):
+    """An index or a literal too long for `int`, and a coefficient too long
+    to print, end in one line of the command line's own, not Python's
+    advice to raise its conversion limit."""
+    assert main(["anyspace", "--n", "3", "expand", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(named) and "set_int_max_str_digits" not in line
+
+
 def test_anyspace_slot_count_at_the_limit_expands(capsys):
     assert main(["anyspace", "--n", "3", "expand", f"t{MAX_SLOTS}"]) == 0
     assert capsys.readouterr().out == f"(1)*t{MAX_SLOTS}\n"

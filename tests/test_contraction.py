@@ -7,13 +7,17 @@ witnesses: the same index tuples, the same rendered values (a value keeps
 the cyclotomic order of the terms it was summed from, so this also pins
 which terms each side sums), the same notes, and the same relations term
 by term in the same order.
+
+It also keeps the per-factor join that the sparse products replaced,
+`ref_contract`: every declared contraction must give the same keys, in the
+same order, with the same order, coordinates and denominator.
 """
 
 import random
 
 import pytest
 
-from anylie import algebra
+from anylie import algebra, constructions, envelope
 from anylie.algebra import AlgebraSpec, Contraction, verify_all
 from anylie.constructions import build_ansatz, build_matrix_type, check_ansatz_reduction
 from anylie.cyclotomic import CycNum, root_of_unity
@@ -21,7 +25,8 @@ from anylie.envelope import generate_relations
 from anylie.grading import Bicharacter, GradingGroup
 
 from conftest import SL2_C, SUPER_C, SUPER_P
-from reference import ref_check_ansatz_reduction, ref_generate_relations, ref_verify_all
+from reference import (ref_check_ansatz_reduction, ref_contract, ref_generate_relations,
+                       ref_verify_all)
 
 # values of several cyclotomic orders, so that a side summing other terms
 # than the reference would render differently
@@ -187,3 +192,73 @@ def test_contraction_declarations():
     assert squared[(0, 1, 1)] == root_of_unity(3, 2)
     with pytest.raises(ValueError, match="repeated letter"):
         Contraction("d[maa]", "ma")
+
+
+# -- the sparse products against the per-factor join -------------------------
+
+# every contraction the library declares
+CONTRACTIONS = ([side for sides in algebra._IDENTITIES.values() for side in sides]
+                + [side for side, _ in algebra._COUNIT] + [envelope._RELATION]
+                + list(constructions._ANSATZ_JACOBI))
+
+
+def exact(values: dict) -> list:
+    """Each key with its value's order, coordinates and denominator, in
+    insertion order."""
+    return [(key, v.order, v.nums, v.den) for key, v in values.items()]
+
+
+def assert_contractions_match(spec: AlgebraSpec):
+    for contraction in CONTRACTIONS:
+        assert exact(contraction(spec)) == exact(ref_contract(contraction, spec))
+    # a contraction added into another's result, as check_ansatz_reduction does
+    _, rhs, crossed = constructions._ANSATZ_JACOBI
+    assert exact(crossed(spec, rhs(spec))) == \
+        exact(ref_contract(crossed, spec, ref_contract(rhs, spec)))
+
+
+@pytest.mark.parametrize("first", range(0, 260, 65))
+def test_every_contraction_matches_the_per_factor_join(first):
+    for seed in range(first, first + 65):
+        assert_contractions_match(seeded_spec(seed))
+
+
+@pytest.mark.parametrize("N, n", [(5, 6), (5, 7), (6, 6), (6, 7)])
+def test_wide_matrix_specs_match_the_per_factor_join(N, n):
+    """Past the seeded sizes: z_n^(n-1) is spread over n - 1 coordinates
+    when n is prime, and products reach phases of every degree."""
+    rng = random.Random(N * 10 + n)
+    spec = perturbed(rng, build_matrix_type(N, Bicharacter.anyonic(n),
+                                            [rng.randrange(n) for _ in range(N)]))
+    assert_contractions_match(spec)
+
+
+def test_a_product_of_orders_4_and_6_lands_in_order_12():
+    """One term multiplies an entry of order 4 by one of order 6; their lcm
+    12 divides neither, so the product changes the order of both."""
+    z4, z6 = root_of_unity(4, 1), root_of_unity(6, 5)  # z6^5 = 1 - z6: two coordinates
+    spec = AlgebraSpec(Bicharacter.anyonic(1), ["a", "b"], [0, 0], {0: CycNum.one()},
+                       {(0, 0, 0): z4, (0, 1, 0): CycNum.one() + z4},
+                       {(0, 0, 0): z6, (0, 0, 1): CycNum.from_rational("1/2") * z6})
+    assert_contractions_match(spec)
+    value = Contraction("c[mna] d[arl]", "mnrl")(spec)[(0, 0, 0, 0)]
+    assert value.order == 12 and value == z6 * z4
+
+
+def test_the_join_multiplies_no_cycnum():
+    """Products stay in the join's sparse form; a phase with one power
+    needs no `CycNum` product either."""
+    spec = seeded_spec(3)
+    calls = []
+    mp = pytest.MonkeyPatch()
+    try:
+        for attr in ("__mul__", "__rmul__"):
+            mp.setattr(CycNum, attr,
+                       lambda a, b, f=getattr(CycNum, attr): calls.append(1) or f(a, b))
+        for sides in algebra._IDENTITIES.values():
+            for side in sides:
+                if side._phase_depth is None or len(side._phase[1]) == 1:
+                    side(spec)
+    finally:
+        mp.undo()
+    assert calls == []

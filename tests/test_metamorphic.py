@@ -120,6 +120,17 @@ def conjugated_value(value, k):
     return conjugate(value, k) if isinstance(value, CycNum) else value
 
 
+def assert_verify_conjugates(report, image_report, k):
+    """The same verdicts and witness indices, and each witness side the
+    conjugate of the original's."""
+    assert [(ch.name, ch.passed) for ch in image_report.checks + image_report.info] == \
+        [(ch.name, ch.passed) for ch in report.checks + report.info]
+    for ch, image_ch in zip(report.checks + report.info, image_report.checks + image_report.info):
+        assert [(w.indices, w.lhs, w.rhs) for w in image_ch.witnesses] == \
+            [(w.indices, conjugated_value(w.lhs, k), conjugated_value(w.rhs, k))
+             for w in ch.witnesses]
+
+
 def test_galois_cases_cover_every_kind():
     """Passing and failing specs, confluent and divergent rule sets."""
     assert len(GALOIS_CASES) == 17
@@ -135,14 +146,7 @@ def test_galois_conjugation_conjugates_every_result(label, spec, k):
     every verdict and witness index and conjugates every value: the
     witnesses' sides, the rules' right sides, and nothing else."""
     image = conjugated(spec, k)
-
-    report, image_report = verify_all(spec), verify_all(image)
-    assert [(ch.name, ch.passed) for ch in image_report.checks + image_report.info] == \
-        [(ch.name, ch.passed) for ch in report.checks + report.info]
-    for ch, image_ch in zip(report.checks + report.info, image_report.checks + image_report.info):
-        assert [(w.indices, w.lhs, w.rhs) for w in image_ch.witnesses] == \
-            [(w.indices, conjugated_value(w.lhs, k), conjugated_value(w.rhs, k))
-             for w in ch.witnesses]
+    assert_verify_conjugates(verify_all(spec), verify_all(image), k)
 
     rs = build_rewrite_system(generate_relations(spec), spec.dim)
     image_rs = build_rewrite_system(generate_relations(image), image.dim)
@@ -153,3 +157,27 @@ def test_galois_conjugation_conjugates_every_result(label, spec, k):
     pairs, image_pairs = rs.check_critical_pairs(), image_rs.check_critical_pairs()
     assert image_pairs.confluent == pairs.confluent
     assert len(image_pairs.divergences) == len(pairs.divergences)
+
+
+def family_specs(n: int) -> list:
+    """The matrix family at Z/n: N = 2 with every f whose f(1) is 0 and
+    N = 3 with two seeded f, each with and without a bracket perturbation.
+    Every entry and phase has an order dividing n."""
+    rng = random.Random(n)
+    fs = [(0, f2) for f2 in range(n)] + [tuple(rng.randrange(n) for _ in range(3))
+                                          for _ in range(2)]
+    return [matrix_spec(len(f), Bicharacter.anyonic(n), f, perturb)
+            for f in fs for perturb in (None, perturbed_bracket)]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_galois_law_across_the_matrix_family(n):
+    """verify_all commutes with sigma_k for every unit k != 1 modulo n
+    (Z/2 has none, so there the family only has to build)."""
+    units = [k for k in range(2, n) if gcd(k, n) == 1]
+    specs = family_specs(n)
+    assert {verify_all(spec).passed for spec in specs[:2]} == {True, False}
+    for spec in specs:
+        report = verify_all(spec)
+        for k in units:
+            assert_verify_conjugates(report, verify_all(conjugated(spec, k)), k)
