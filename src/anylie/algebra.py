@@ -117,7 +117,7 @@ class AlgebraSpec:
         the cache only ever holds whole tables."""
         table = self._rows.get((tensor, positions))
         if table is None:
-            table = self._rows[(tensor, positions)] = self._grouped(tensor, positions, None)
+            table = self._rows[(tensor, positions)] = self._grouped(tensor, positions, _same)
         return table
 
     def _sparse_rows(self, tensor: str, positions: tuple) -> dict:
@@ -131,12 +131,12 @@ class AlgebraSpec:
         return table
 
     def _grouped(self, tensor: str, positions: tuple, convert) -> dict:
-        """The table of `rows`, each value passed through `convert` if given."""
+        """The table of `rows`, each value passed through `convert`."""
         entries = ({(mu,): v for mu, v in self.eps.items()} if tensor == "eps"
                    else getattr(self, tensor))
         bound, table = _getter(positions), {}
         for key, val in entries.items():
-            table.setdefault(bound(key), []).append((key, convert(val) if convert else val))
+            table.setdefault(bound(key), []).append((key, convert(val)))
         return table
 
     def _form(self, val: CycNum) -> tuple:
@@ -213,6 +213,11 @@ def _getter(positions: tuple):
     if len(positions) == 1:
         return itemgetter(slice(positions[0], positions[0] + 1))
     return itemgetter(*positions) if positions else itemgetter(slice(0))
+
+
+def _same(val):
+    """The value itself: the conversion of `AlgebraSpec.rows`."""
+    return val
 
 
 _FACTOR = re.compile(r"(\w+)\[(\w+)\]$")

@@ -309,7 +309,9 @@ def cmd_anyspace(args) -> int:
             text = json.dumps(payload, sort_keys=True)
         else:
             text = poly.render()
-    except ValueError:  # Python refuses to write an int past its digit limit
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # not Python's digit limit
+            raise
         raise ValueError(f"a coefficient of the expansion has more than "
                          f"{sys.get_int_max_str_digits()} digits, too many to print") from None
     print(text)

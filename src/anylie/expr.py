@@ -11,11 +11,9 @@ so a sign binds tighter than '^' (-t1^2 is (-t1)^2), and any factor, an
 integer included, may follow another without a '*'.
 """
 
-__all__ = ["ExprError", "parse_expr", "MAX_DIGITS"]
+import sys
 
-# The longest integer literal read: Python's default limit on converting a
-# string to an int, so that `int` never refuses one with its own message.
-MAX_DIGITS = 4300
+__all__ = ["ExprError", "parse_expr"]
 
 
 class ExprError(ValueError):
@@ -36,9 +34,12 @@ def _tokenize(text: str, read_atom):
         if ch.isdigit():
             while pos < len(text) and text[pos].isdigit():
                 pos += 1
-            if pos - start > MAX_DIGITS:
+            # Python's limit on converting a string to an int, read each time
+            # so that `int` never refuses a literal with its own message
+            limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+            if limit and pos - start > limit:
                 raise ExprError(f"integer of {pos - start} digits at position {start} of "
-                                f"{text!r}: at most {MAX_DIGITS} are read")
+                                f"{text!r}: at most {limit} are read")
             tokens.append((int(text[start:pos]), start))
             continue
         hit = None if ch in "+-*" else read_atom(text, pos)

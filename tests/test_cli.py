@@ -585,16 +585,17 @@ def test_anyspace_slot_count_past_the_limit_exits_2(args, named, capsys):
     assert line.startswith(f"error: {named}") and f"{MAX_SLOTS} tensor slots" in line
 
 
-@pytest.mark.parametrize("expr, named", [
-    ("t" + "9" * 5000, "error: variable t999"),
-    ("1" * 5000, "error: integer of 5000 digits at position 0"),
-    ("2^99999", "error: a coefficient of the expansion has more than"),
+@pytest.mark.parametrize("expr, json_flag, named", [
+    ("t" + "9" * 5000, [], "error: variable t999"),
+    ("1" * 5000, [], "error: integer of 5000 digits at position 0"),
+    ("2^99999", [], "error: a coefficient of the expansion has more than"),
+    ("2^99999", ["--json"], "error: a coefficient of the expansion has more than"),
 ])
-def test_anyspace_numbers_past_the_digit_limit_exit_2(expr, named, capsys):
+def test_anyspace_numbers_past_the_digit_limit_exit_2(expr, json_flag, named, capsys):
     """An index or a literal too long for `int`, and a coefficient too long
-    to print, end in one line of the command line's own, not Python's
-    advice to raise its conversion limit."""
-    assert main(["anyspace", "--n", "3", "expand", expr]) == 2
+    to print or encode, end in one line of the command line's own, not
+    Python's advice to raise its conversion limit."""
+    assert main(["anyspace", "--n", "3", "expand", expr] + json_flag) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()

@@ -4,6 +4,7 @@ replaced (kept in tests/reference.py)."""
 
 import random
 import re
+import sys
 
 import pytest
 
@@ -69,6 +70,23 @@ def test_integers_are_multiples_of_one():
     one = NCPoly.one()
     assert parse_expr("0", one, lambda text, pos: None).is_zero()
     assert parse_expr("2^10 - 24", one, lambda text, pos: None) == one.scaled(1000)
+
+
+def test_literal_length_follows_the_interpreters_digit_limit():
+    """A literal is bounded by the interpreter's current int-string limit,
+    not a fixed count: refused at its position past a lowered limit, read
+    at any length with the limit off."""
+    one, no_atom = NCPoly.one(), (lambda text, pos: None)
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert parse_expr("1" * 640, one, no_atom) == one.scaled(int("1" * 640))
+        with pytest.raises(ExprError, match="integer of 641 digits at position 2 .* at most 640"):
+            parse_expr("2 " + "1" * 641, one, no_atom)
+        sys.set_int_max_str_digits(0)
+        assert parse_expr("1" * 5000, one, no_atom).scaled(9) == one.scaled(10 ** 5000 - 1)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _random_text(rng, pieces, weights):

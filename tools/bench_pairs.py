@@ -21,10 +21,13 @@ import sys
 from pathlib import Path
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: str) -> dict:
+COMMAND = "perfbench/run.py --seconds 12 --trace 0"
+
+
+def run(checkout: Path, workload: str, seed: int) -> dict:
     """The summary line of one benchmark run in `checkout`."""
-    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", seconds, "--trace", "0"],
+    out = subprocess.run([sys.executable, *COMMAND.split(), "--workload", workload,
+                          "--seed", str(seed)],
                          cwd=checkout, capture_output=True, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
@@ -41,7 +44,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="1", help="comma-separated, cycled over the pairs")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", default="12")
     ap.add_argument("--out", type=Path, help="JSON file to write the workload's entry into")
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
@@ -50,7 +52,7 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            result = run(getattr(args, side), args.workload, seeds[i % len(seeds)], args.seconds)
+            result = run(getattr(args, side), args.workload, seeds[i % len(seeds)])
             runs[side].append(result)
             print(f"pair {i} {side}: " + ", ".join(
                 f"{k} {v['value']:.4g}" for k, v in result["metrics"].items()), flush=True)
@@ -77,8 +79,7 @@ def main(argv=None) -> int:
     if args.out:
         data = json.loads(args.out.read_text()) if args.out.exists() else {}
         section = data.setdefault("end_to_end", {})
-        section["command"] = (f"python3 perfbench/run.py --workload <w> --seed <s> "
-                              f"--seconds {args.seconds} --trace 0")
+        section["command"] = f"python3 {COMMAND} --workload <w> --seed <s>"
         section["statistics"] = ("median and quartiles (inclusive method) over the runs of "
                                  "each side; change_wins counts the pairs in which the "
                                  "change read better; runs alternate which side goes first")
