@@ -74,8 +74,7 @@ class SpecFormatError(ValueError):
 class AlgebraSpec:
     """Immutable bundle of basis, degrees and the three structure tensors."""
 
-    __slots__ = ("bichar", "basis", "degrees", "eps", "d", "c", "_rows", "_sparse_tables",
-                 "_forms")
+    __slots__ = ("bichar", "basis", "degrees", "eps", "d", "c", "_rows")
 
     def __init__(self, bichar: Bicharacter, basis, degrees, eps, d, c):
         dim = len(basis)
@@ -108,44 +107,28 @@ class AlgebraSpec:
         self.eps = clean(eps, "eps", 1)
         self.d = clean(d, "d", 3)
         self.c = clean(c, "c", 3)
-        self._rows, self._sparse_tables, self._forms = {}, {}, {}
+        self._rows = {}
 
     def rows(self, tensor: str, positions: tuple) -> dict:
         """The entries of `tensor` ('eps', 'd' or 'c') grouped by their
-        indices at `positions`: {bound: [(key, value), ...]}, keys as index
-        tuples, each list in entry order.  Built on first use and cached;
-        the cache only ever holds whole tables."""
+        indices at `positions`: {bound: [(key, form), ...]}, keys as index
+        tuples, each list in entry order, and each value as the sparse form
+        of `anylie.cyclotomic` that `Contraction` reads; equal values share
+        one form.  Built on first use and cached; the cache only ever holds
+        whole tables."""
         table = self._rows.get((tensor, positions))
         if table is None:
-            table = self._rows[(tensor, positions)] = self._grouped(tensor, positions, _same)
+            entries = ({(mu,): v for mu, v in self.eps.items()} if tensor == "eps"
+                       else getattr(self, tensor))
+            bound, forms, table = _getter(positions), {}, {}
+            for key, val in entries.items():
+                same = (val.order, val.nums, val.den)
+                form = forms.get(same)
+                if form is None:
+                    form = forms[same] = _to_sparse(val)
+                table.setdefault(bound(key), []).append((key, form))
+            self._rows[(tensor, positions)] = table
         return table
-
-    def _sparse_rows(self, tensor: str, positions: tuple) -> dict:
-        """`rows` with each value as the sparse form that `Contraction`
-        carries, cached the same way; equal values share one form, so each
-        is converted once per spec."""
-        table = self._sparse_tables.get((tensor, positions))
-        if table is None:
-            table = self._sparse_tables[(tensor, positions)] = \
-                self._grouped(tensor, positions, self._form)
-        return table
-
-    def _grouped(self, tensor: str, positions: tuple, convert) -> dict:
-        """The table of `rows`, each value passed through `convert`."""
-        entries = ({(mu,): v for mu, v in self.eps.items()} if tensor == "eps"
-                   else getattr(self, tensor))
-        bound, table = _getter(positions), {}
-        for key, val in entries.items():
-            table.setdefault(bound(key), []).append((key, convert(val)))
-        return table
-
-    def _form(self, val: CycNum) -> tuple:
-        """The sparse form of `val`, shared by every entry equal to it."""
-        key = (val.order, val.nums, val.den)
-        form = self._forms.get(key)
-        if form is None:
-            form = self._forms[key] = _to_sparse(val)
-        return form
 
     @property
     def dim(self) -> int:
@@ -215,11 +198,6 @@ def _getter(positions: tuple):
     return itemgetter(*positions) if positions else itemgetter(slice(0))
 
 
-def _same(val):
-    """The value itself: the conversion of `AlgebraSpec.rows`."""
-    return val
-
-
 _FACTOR = re.compile(r"(\w+)\[(\w+)\]$")
 _PHASE = re.compile(r"beta\[(\w)(\w)\](?:\^(\d+))?$")
 
@@ -241,8 +219,9 @@ class Contraction:
     sparse forms of `anylie.cyclotomic` (a matrix-family entry or a phase
     is one monomial, so a factor costs one integer multiply), and each
     finished term is folded into a `CycNum` once, of the lcm of its
-    factors' orders, the value and order that `*` would give.  Values enter
-    and leave as `CycNum`; the sparse form never leaves the join.
+    factors' orders, the value and order that `*` would give.  The factors
+    are read from the spec's `rows` tables, whose values are sparse forms
+    already, and the result holds `CycNum` values only.
     """
 
     def __init__(self, factors: str, out: str, phase: str = ""):
@@ -270,7 +249,7 @@ class Contraction:
     def __call__(self, spec: "AlgebraSpec", acc=None) -> dict:
         """{out key: value} over the tensors of `spec`, added into `acc`."""
         acc = {} if acc is None else acc
-        tables = list(starmap(spec._sparse_rows, self._tables))
+        tables = list(starmap(spec.rows, self._tables))
         phase = None if self._phase_depth is None else self._phase_of(spec)
         self._join(0, tables[0].get((), ()), None, (), tables, phase, acc)
         return acc

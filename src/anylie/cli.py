@@ -49,6 +49,17 @@ __all__ = ["main", "SearchSpace", "run_search"]
 # small parsing helpers
 # ---------------------------------------------------------------------------
 
+def _int(text: str, what: str) -> int:
+    """`int(text)` for a number read from `what`, a flag or a field; one with
+    more digits than the interpreter converts (its limit is read each time)
+    is refused in the command line's words, not with Python's advice."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    digits = sum(map(str.isdigit, text))
+    if limit and digits > limit:
+        raise ValueError(f"an integer of {digits} digits in {what}: at most {limit} are read")
+    return int(text)
+
+
 def _loose_cyc(value, n: int = 1) -> CycNum:
     """Accept CycNum JSON dicts, integers, or fraction strings; 'z^k' and
     'z' denote the primitive n-th root of unity."""
@@ -61,23 +72,23 @@ def _loose_cyc(value, n: int = 1) -> CycNum:
     if text == "z":
         out = root_of_unity(n, 1)
     elif text.startswith("z^"):
-        out = root_of_unity(n, int(text[2:]))
+        out = root_of_unity(n, _int(text[2:], "z^k"))
     else:
         out = CycNum.from_rational(text)
     return -out if neg else out
 
 
-def _parse_int_list(text: str):
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+def _parse_int_list(text: str, flag: str):
+    return [_int(tok, flag) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _parse_degrees(text: str, rank: int):
+def _parse_degrees(text: str, rank: int, flag: str):
     """Degrees: '0,1,2' for rank 1, or '0 1;1 0' tuples for higher rank."""
     if rank == 1:
-        return [(v,) for v in _parse_int_list(text)]
+        return [(v,) for v in _parse_int_list(text, flag)]
     out = []
     for part in text.split(";"):
-        coords = tuple(int(t) for t in part.replace(",", " ").split())
+        coords = tuple(_int(t, flag) for t in part.replace(",", " ").split())
         out.append(coords)
     return out
 
@@ -87,8 +98,9 @@ def _grading_from_flags(args) -> Bicharacter:
     the group is --group, else Z/n from --n."""
     rows = None
     if args.bichar:
-        rows = [[int(t) for t in row.replace(",", " ").split()] for row in args.bichar.split(";")]
-    group = _parse_int_list(args.group) if args.group else [args.n]
+        rows = [[_int(t, "--bichar") for t in row.replace(",", " ").split()]
+                for row in args.bichar.split(";")]
+    group = _parse_int_list(args.group, "--group") if args.group else [args.n]
     return Bicharacter.from_json({"group": group, "bichar": rows})
 
 
@@ -161,7 +173,7 @@ def _emit_built(spec: AlgebraSpec, args) -> int:
 
 def cmd_make_matrix(args) -> int:
     bichar = _grading_from_flags(args)
-    f = _parse_degrees(args.f, bichar.group.rank)
+    f = _parse_degrees(args.f, bichar.group.rank, "--f")
     return _emit_built(build_matrix_type(args.N, bichar, f), args)
 
 
@@ -275,11 +287,12 @@ def _parse_word(spec: AlgebraSpec, text: str):
             j = pos
             while j < len(text) and text[j].isdigit():
                 j += 1
-            idx = int(text[pos:j])
-            if idx >= spec.dim:
+            # sized by its digits first: `int` refuses strings past its limit
+            idx = text[pos:j].lstrip("0") or "0"
+            if len(idx) > len(str(spec.dim)) or int(idx) >= spec.dim:
                 raise SpecFormatError(
                     f"generator index {idx} out of range: the spec has {spec.dim} generators")
-            word.append(idx)
+            word.append(int(idx))
             pos = j
         else:
             raise SpecFormatError(f"cannot read word at ...{text[pos:pos+12]!r}")
@@ -424,7 +437,7 @@ def cmd_search(args) -> int:
     alphabet = _parse_alphabet(args.alphabet, bichar.group.exponent)
     degrees = None
     if args.degrees:
-        degrees = _parse_degrees(args.degrees, bichar.group.rank)
+        degrees = _parse_degrees(args.degrees, bichar.group.rank, "--degrees")
         if len(degrees) != args.dim:
             raise SpecFormatError("--degrees needs one entry per basis element")
     space = SearchSpace(args.dim, bichar, alphabet, degrees, args.require_nonzero_delta)

@@ -5,14 +5,15 @@ A number is stored as integer coordinates over one common denominator:
 1, z, ..., z^(phi(m)-1) of Q(zeta_m), z = exp(2*pi*i/m).  The pair is kept
 in lowest terms (den > 0, gcd(den, *nums) == 1, zero as (0, ...), 1), so
 equality is tuple equality.  One cached table, `_power_rows(m)`, holds the
-integer coordinates of z^e for e < m, and `_reduce` folds an integer
-polynomial of any length onto the basis through it: construction, products,
-lifting, conjugates and roots of unity take this one path.  Reduction makes
-the representation a genuine field: no zero divisors, exact inverses.  The
-one place that defers it is the structure-tensor join: there a product of
-entries is carried as a sparse element of Q[x]/(x^m - 1) (`_to_sparse`,
-`_sparse_product`) and folded onto the basis once per finished term
-(`_from_sparse`), through the same table.
+integer coordinates of z^e for e < m, and one routine, `_fold`, folds a
+sum of integer multiples of powers z^e onto the basis through it.
+Construction, products, lifting (e -> e*step), conjugates (e -> e*k mod m)
+and the sparse forms of the structure-tensor join all end in that fold, and
+roots of unity are rows of the table.  Reduction makes the representation
+a genuine field: no zero divisors, exact inverses.  The join alone defers
+it: a product of entries is carried as a sparse element of Q[x]/(x^m - 1)
+(`_to_sparse`, `_sparse_product`) and folded once per finished term
+(`_from_sparse`).
 Mixed-order arithmetic embeds both operands into Q(zeta_L), L = lcm of the
 orders, via z_m = z_L^(L/m).  Elements are never re-minimised into a
 smaller cyclotomic subfield; they keep their declared order.
@@ -110,15 +111,17 @@ def _power_rows(m: int) -> tuple:
     return tuple(rows)
 
 
-def _reduce(coeffs: list, m: int) -> list:
-    """Fold sum(coeffs[e] * z^e), an int list of any length, onto the power
-    basis of Q(zeta_m)."""
+def _fold(m: int, terms) -> list:
+    """Fold sum(c * z^e) over the (e, c) pairs of `terms`, e >= 0, onto the
+    power basis of Q(zeta_m): the first phi(m) rows of `_power_rows` are the
+    unit vectors, so an e below phi(m) adds c in place."""
     rows = _power_rows(m)
     deg = len(rows[0])
-    out = coeffs[:deg] + [0] * (deg - len(coeffs))
-    for e in range(deg, len(coeffs)):
-        c = coeffs[e]
-        if c:
+    out = [0] * deg
+    for e, c in terms:
+        if e < deg:
+            out[e] += c
+        elif c:
             for i, r in enumerate(rows[e % m]):
                 if r:
                     out[i] += c * r
@@ -172,20 +175,9 @@ def _sparse_product(a: tuple, b: tuple) -> tuple:
 
 
 def _from_sparse(form: tuple) -> "CycNum":
-    """A sparse form as a CycNum of its order: one fold through
-    `_power_rows`, whose first phi(m) rows are the unit vectors."""
+    """A sparse form as a CycNum of its order."""
     m, den, terms = form
-    rows = _power_rows(m)
-    deg = len(rows[0])
-    out = [0] * deg
-    for e, c in terms:
-        if e < deg:
-            out[e] += c
-        else:
-            for i, r in enumerate(rows[e]):
-                if r:
-                    out[i] += c * r
-    return CycNum._make(m, out, den)
+    return CycNum._make(m, _fold(m, terms), den)
 
 
 def _lowest(nums, den: int) -> tuple:
@@ -205,15 +197,12 @@ def _multiply(xs, ys, m: int) -> list:
             for j, y in enumerate(ys):
                 if y:
                     prod[i + j] += x * y
-    return _reduce(prod, m)
+    return _fold(m, enumerate(prod))
 
 
 def _conjugate(xs, k: int, m: int) -> list:
     """sigma_k(x): the coordinates of x with z replaced by z^k, k a unit mod m."""
-    raised = [0] * m
-    for e, x in enumerate(xs):
-        raised[e * k % m] = x
-    return _reduce(raised, m)
+    return _fold(m, ((e * k % m, x) for e, x in enumerate(xs)))
 
 
 class CycNum:
@@ -231,7 +220,7 @@ class CycNum:
         den = lcm(*(f.denominator for f in fracs))
         nums = [f.numerator * (den // f.denominator) for f in fracs]
         self.order = order
-        self.nums, self.den = _lowest(_reduce(nums, order), den)
+        self.nums, self.den = _lowest(_fold(order, enumerate(nums)), den)
 
     @classmethod
     def _make(cls, order: int, nums, den: int = 1) -> "CycNum":
@@ -277,9 +266,8 @@ class CycNum:
             return self
         assert new_order % self.order == 0
         step = new_order // self.order
-        raised = [0] * ((len(self.nums) - 1) * step + 1)
-        raised[::step] = self.nums
-        return CycNum._make(new_order, _reduce(raised, new_order), self.den)
+        nums = _fold(new_order, zip(range(0, new_order, step), self.nums))
+        return CycNum._make(new_order, nums, self.den)
 
     def _pair(self, other):
         other = CycNum.promote(other)

@@ -416,13 +416,14 @@ class TensorSquarePoly(LinComb):
 def delta_on_products(spec: AlgebraSpec, rs: RewriteSystem, poly: NCPoly) -> TensorSquarePoly:
     """Extend the coproduct multiplicatively to U with the braided crossing
     phase; both tensor legs are returned in normal form."""
+    legs = {}  # the terms of D(x^mu), by mu
+    for (mu, nu, rho), v in spec.d.items():
+        legs.setdefault(mu, {})[((nu,), (rho,))] = v
     total = TensorSquarePoly(spec)
     for word, coeff in poly.terms.items():
         acc = TensorSquarePoly(spec) ** 0
         for g in word:
-            legs = spec.rows("d", (0,)).get((g,), ())
-            factor = TensorSquarePoly(spec, {((nu,), (rho,)): v for (_, nu, rho), v in legs})
-            acc = acc * factor
+            acc = acc * TensorSquarePoly(spec, legs.get(g, {}))
         total = total + acc.scaled(coeff)
     return total.normalized(rs)
 

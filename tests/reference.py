@@ -14,8 +14,8 @@ from anylie.algebra import (AlgebraSpec, AxiomReport, CheckResult, SpecFormatErr
 from anylie.anyspace import ExprError, ThetaPoly
 from anylie.cli import _match_label
 from anylie.constructions import _ansatz_data
-from anylie.cyclotomic import (CycNum, _conjugate, _power_rows, checked_integers,
-                               cyclotomic_polynomial, q_binomial, root_of_unity)
+from anylie.cyclotomic import (CycNum, _power_rows, checked_integers, cyclotomic_polynomial,
+                               q_binomial, root_of_unity)
 from anylie.envelope import ConfluenceReport, NCPoly, RewriteSystem, Rule
 from anylie.grading import Bicharacter
 from anylie.sparse import accumulate, nonzero
@@ -153,9 +153,13 @@ def widened(p: ThetaPoly, vars: int, offset: int = 0) -> ThetaPoly:
 # tests/test_metamorphic.py.
 
 def conjugate(x: CycNum, k: int) -> CycNum:
-    """sigma_k(x): each power of zeta_m in x raised to the k-th, k prime to m."""
+    """sigma_k(x): each power of zeta_m in x raised to the k-th, k prime to m,
+    reduced by polynomial division (`_reduce_mod_phi`), not the library's fold."""
     assert gcd(k, x.order) == 1
-    return CycNum._make(x.order, _conjugate(x.nums, k, x.order), x.den)
+    raised = [Fraction(0)] * x.order
+    for e, c in enumerate(x.coeffs):
+        raised[e * k % x.order] = c
+    return CycNum(x.order, _reduce_mod_phi(raised, x.order))
 
 
 def conjugated(spec: AlgebraSpec, k: int) -> AlgebraSpec:
@@ -1236,13 +1240,25 @@ def theta_mul(self, other):
 # each partial product a `CycNum` multiply, each phase a `CycNum` multiply,
 # each finished term added to its key with `accumulate`.  The body is
 # `Contraction.__call__` and `_join` as they were, reading the declaration
-# the contraction compiled.  The reference for tests/test_contraction.py.
+# the contraction compiled, over tables of `CycNum` values that it groups
+# itself.  The reference for tests/test_contraction.py.
+
+def _cycnum_rows(spec: AlgebraSpec, tensor: str, positions: tuple) -> dict:
+    """The entries of `tensor` grouped by their indices at `positions`:
+    {bound: [(key, CycNum), ...]}, each list in entry order."""
+    entries = ({(mu,): v for mu, v in spec.eps.items()} if tensor == "eps"
+               else getattr(spec, tensor))
+    table = {}
+    for key, val in entries.items():
+        table.setdefault(tuple(key[p] for p in positions), []).append((key, val))
+    return table
+
 
 def ref_contract(contraction, spec: AlgebraSpec, acc=None) -> dict:
     """{out key: value} of `contraction` over the tensors of `spec`, added
     into `acc`, multiplying one factor at a time."""
     acc = {} if acc is None else acc
-    tables = [spec.rows(tensor, bound) for tensor, bound in contraction._tables]
+    tables = [_cycnum_rows(spec, tensor, bound) for tensor, bound in contraction._tables]
     phase = None
     if contraction._phase_depth is not None:
         negate, powers = contraction._phase

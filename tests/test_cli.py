@@ -602,6 +602,27 @@ def test_anyspace_numbers_past_the_digit_limit_exit_2(expr, json_flag, named, ca
     assert line.startswith(named) and "set_int_max_str_digits" not in line
 
 
+ONES = "1" * 5000
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["nf", "{spec}", ONES], f"error: generator index {ONES} out of range: the spec has 4"),
+    (["search", "--dim", "1", "--n", "3", "--alphabet", f"z^{ONES}"],
+     "error: an integer of 5000 digits in z^k: at most"),
+    (["make-matrix", "--N", "2", "--n", "3", "--f", f"0,{ONES}"],
+     "error: an integer of 5000 digits in --f: at most"),
+])
+def test_integers_past_the_digit_limit_in_flags_and_words_exit_2(argv, named, l2f3_file,
+                                                                  capsys):
+    """An integer too long for `int` in a flag, a word or a z^k exponent is
+    refused in the command line's own words, in one line."""
+    assert main([l2f3_file if a == "{spec}" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(named) and "set_int_max_str_digits" not in line
+
+
 def test_anyspace_slot_count_at_the_limit_expands(capsys):
     assert main(["anyspace", "--n", "3", "expand", f"t{MAX_SLOTS}"]) == 0
     assert capsys.readouterr().out == f"(1)*t{MAX_SLOTS}\n"

@@ -1,7 +1,9 @@
 """CycNum's integer coordinates against the Fraction-based class they
 replaced (`reference.FractionCycNum`): seeded random values of mixed
 orders, the canonical form of every result, and the norm inverse against
-the extended Euclidean one."""
+the extended Euclidean one.  Construction from more coordinates than the
+basis has, lifting and conjugation are pinned to polynomial division by
+Phi_m (`reference._reduce_mod_phi`)."""
 
 import random
 from fractions import Fraction
@@ -10,9 +12,9 @@ from math import gcd, lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anylie.cyclotomic import CycNum, root_of_unity
+from anylie.cyclotomic import CycNum, _conjugate, root_of_unity
 
-from reference import FractionCycNum, euler_phi, inverse_euclid
+from reference import FractionCycNum, _reduce_mod_phi, euler_phi, inverse_euclid
 
 ORDERS = list(range(1, 31)) + [105]
 # pairs whose lcm field is larger make the Fraction oracle too slow to run
@@ -103,6 +105,42 @@ def test_json_round_trip_matches_the_fraction_class():
         coords = random_coords(rng, m, 12)
         data = FractionCycNum(m, coords).to_json()
         assert_same(CycNum.from_json(data), FractionCycNum.from_json(data))
+
+
+def test_long_coefficient_lists_fold_like_division():
+    """CycNum(m, coeffs) with up to 3m coefficients, so exponents past
+    phi(m) and past m, is the remainder of the polynomial mod Phi_m; so are
+    its lifts (e -> e*step) and its conjugates (e -> e*k), each computed
+    from the unreduced list."""
+    rng = random.Random(3)
+    for _ in range(400):
+        m = rng.choice(ORDERS)
+        coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+                  if rng.random() < 0.4 else Fraction(0) for _ in range(rng.randint(0, 3 * m))]
+        x = CycNum(m, coeffs)
+        assert x.coeffs == _reduce_mod_phi(coeffs, m)
+        step = rng.randint(2, 3)
+        raised = [Fraction(0)] * (step * len(coeffs))
+        raised[::step] = coeffs
+        assert x.lifted(step * m).coeffs == _reduce_mod_phi(raised, step * m)
+        k = rng.choice([k for k in range(1, max(m, 2)) if gcd(k, m) == 1])
+        raised = [Fraction(0)] * (k * len(coeffs))
+        raised[::k] = coeffs
+        conjugate = CycNum._make(m, _conjugate(x.nums, k, m), x.den)
+        assert conjugate.coeffs == _reduce_mod_phi(raised, m)
+
+
+def test_json_exponents_past_the_order_fold_like_division():
+    """from_json adds repeated exponents and folds exponents up to 3m."""
+    rng = random.Random(4)
+    for _ in range(200):
+        m = rng.choice(ORDERS)
+        terms = [[rng.randint(0, 3 * m), f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}"]
+                 for _ in range(rng.randint(0, 12))]
+        poly = [Fraction(0)] * (3 * m + 1)
+        for e, c in terms:
+            poly[e] += Fraction(c)
+        assert CycNum.from_json({"order": m, "terms": terms}).coeffs == _reduce_mod_phi(poly, m)
 
 
 def assert_canonical(x: CycNum):

@@ -46,6 +46,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", type=Path, help="JSON file to write the workload's entry into")
     args = ap.parse_args(argv)
+    if args.pairs < 2:  # the quartiles of each side need two runs
+        ap.error(f"--pairs must be at least 2, got {args.pairs}")
     seeds = [int(s) for s in args.seeds.split(",")]
     declared = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"parent": [], "change": []}
