@@ -71,6 +71,12 @@ class SpecFormatError(ValueError):
     """Raised when an algebra description cannot be parsed."""
 
 
+def checked_degrees(degrees) -> list:
+    """Degrees read from a spec file or a g-file: coordinate lists or ints."""
+    return [checked_integers(p if isinstance(p, list) else (p,), "degree coordinates")
+            for p in degrees]
+
+
 class AlgebraSpec:
     """Immutable bundle of basis, degrees and the three structure tensors."""
 
@@ -173,9 +179,7 @@ class AlgebraSpec:
         try:
             bichar = Bicharacter.from_json(data["grading"])
             basis = [entry["name"] for entry in data["basis"]]
-            degrees = [entry.get("degree", 0) for entry in data["basis"]]
-            degrees = [checked_integers(p if isinstance(p, list) else (p,), "degree coordinates")
-                       for p in degrees]
+            degrees = checked_degrees([entry.get("degree", 0) for entry in data["basis"]])
             eps = {checked_integers((e["mu"],), "basis indices")[0]: CycNum.from_json(e["val"])
                    for e in data.get("eps", [])}
             d = {checked_integers((e["mu"], e["nu"], e["rho"]), "basis indices"):
@@ -380,8 +384,8 @@ def grading_constraint(group, degrees, tensor: str, key: tuple) -> tuple:
     """The two degrees that must agree for `tensor` ('eps', 'd' or 'c') to
     be nonzero at `key`, as (have, want): eps at (mu,) needs p(mu) = 0,
     d at (mu, nu, rho) needs p(mu) = p(nu) + p(rho), and c at
-    (mu, nu, rho) needs p(rho) = p(mu) + p(nu).  Shared by `check_grading`
-    and the search, which enumerates only slots where the two agree."""
+    (mu, nu, rho) needs p(rho) = p(mu) + p(nu).  Shared by the checks and
+    the search, which enumerates only slots where the two agree."""
     if tensor == "eps":
         return degrees[key[0]], group.zero()
     mu, nu, rho = key

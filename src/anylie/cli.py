@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import (AlgebraSpec, SpecFormatError, UnverifiedSpecError,
-                      check_coalgebra, grading_constraint, verify_all)
+                      check_coalgebra, checked_degrees, grading_constraint, verify_all)
 from .anyspace import parse_theta_expr
 from .constructions import build_ansatz, build_matrix_type
 from .cyclotomic import CycNum, checked_integers, root_of_unity
@@ -82,24 +82,23 @@ def _parse_int_list(text: str, flag: str):
     return [_int(tok, flag) for tok in text.split(",") if tok.strip() != ""]
 
 
+def _parse_rows(text: str, flag: str):
+    """Integer tuples: '0 1;1 0', each row's entries split on spaces or commas."""
+    return [tuple(_int(t, flag) for t in row.replace(",", " ").split())
+            for row in text.split(";")]
+
+
 def _parse_degrees(text: str, rank: int, flag: str):
     """Degrees: '0,1,2' for rank 1, or '0 1;1 0' tuples for higher rank."""
     if rank == 1:
         return [(v,) for v in _parse_int_list(text, flag)]
-    out = []
-    for part in text.split(";"):
-        coords = tuple(_int(t, flag) for t in part.replace(",", " ").split())
-        out.append(coords)
-    return out
+    return _parse_rows(text, flag)
 
 
 def _grading_from_flags(args) -> Bicharacter:
     """The grading JSON that the flags spell, read by `Bicharacter.from_json`:
     the group is --group, else Z/n from --n."""
-    rows = None
-    if args.bichar:
-        rows = [[_int(t, "--bichar") for t in row.replace(",", " ").split()]
-                for row in args.bichar.split(";")]
+    rows = _parse_rows(args.bichar, "--bichar") if args.bichar else None
     group = _parse_int_list(args.group, "--group") if args.group else [args.n]
     return Bicharacter.from_json({"group": group, "bichar": rows})
 
@@ -186,8 +185,7 @@ def cmd_make_ansatz(args) -> int:
         degrees = gdata.get("degrees", [0] * dim)
         if len(degrees) != dim:
             raise SpecFormatError(f"bad g-file: {len(degrees)} degrees for dim {dim}")
-        degrees = [checked_integers(p if isinstance(p, list) else (p,), "degree coordinates")
-                   for p in degrees]
+        degrees = checked_degrees(degrees)
         n_hint = bichar.group.exponent
         c = {}
         for e in gdata.get("c", []):

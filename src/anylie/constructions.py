@@ -18,7 +18,7 @@ do not verify what they build: a caller that needs a proof runs `verify_all`.
 from __future__ import annotations
 
 from .algebra import (AlgebraSpec, AxiomReport, CheckResult, Contraction, Witness,
-                      compare_sparse)
+                      compare_sparse, grading_constraint)
 from .cyclotomic import CycNum
 from .grading import Bicharacter
 
@@ -149,10 +149,10 @@ def check_ansatz_reduction(bichar: Bicharacter, degrees, c) -> AxiomReport:
     jacobi_w = compare_sparse(lhs(g_spec), crossed(g_spec, rhs(g_spec)))
 
     homog_w = []
-    for (i, j, k) in sorted(c):
-        want = group.add(p[i], p[j])
-        if p[k] != want:
-            homog_w.append(Witness((i, j, k), p[k], want, "c entry breaks degrees"))
+    for key in sorted(c):
+        have, want = grading_constraint(group, g_spec.degrees, "c", key)
+        if have != want:
+            homog_w.append(Witness(key, have, want, "c entry breaks degrees"))
 
     return AxiomReport([
         CheckResult("ansatz_phase_condition", not phase_w, phase_w),

@@ -6,17 +6,17 @@ A number is stored as integer coordinates over one common denominator:
 in lowest terms (den > 0, gcd(den, *nums) == 1, zero as (0, ...), 1), so
 equality is tuple equality.  One cached table, `_power_rows(m)`, holds the
 integer coordinates of z^e for e < m, and one routine, `_fold`, folds a
-sum of integer multiples of powers z^e onto the basis through it.
-Construction, products, lifting (e -> e*step), conjugates (e -> e*k mod m)
-and the sparse forms of the structure-tensor join all end in that fold, and
-roots of unity are rows of the table.  Reduction makes the representation
-a genuine field: no zero divisors, exact inverses.  The join alone defers
-it: a product of entries is carried as a sparse element of Q[x]/(x^m - 1)
-(`_to_sparse`, `_sparse_product`) and folded once per finished term
-(`_from_sparse`).
-Mixed-order arithmetic embeds both operands into Q(zeta_L), L = lcm of the
-orders, via z_m = z_L^(L/m).  Elements are never re-minimised into a
-smaller cyclotomic subfield; they keep their declared order.
+sum of integer multiples of powers z^e onto the basis through it; roots of
+unity are rows of the table.  One routine, `_product`, multiplies in
+Q[x]/(x^m - 1), adding exponents mod m after scaling each operand's by a
+stride: `*` at strides L/m into Q(zeta_L), L the lcm of the orders
+(z_m = z_L^(L/m)), `inverse` with each conjugate sigma_k(x) as x at
+stride k, and the structure-tensor join, which carries a product of
+entries in sparse form (`_to_sparse`, `_sparse_product`) and folds it once
+per finished term (`_from_sparse`).  Only sums and comparisons lift both
+operands into Q(zeta_L).  Reduction makes the representation a genuine
+field: no zero divisors, exact inverses.  Elements are never re-minimised
+into a smaller cyclotomic subfield; they keep their declared order.
 
 All arithmetic is on Python ints; `fractions.Fraction` appears only where
 values enter (the constructor, `from_json`) and leave (`coeffs`).  There is
@@ -26,6 +26,8 @@ no floating point in any code path used for comparison.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -52,8 +54,29 @@ def checked_integers(values, what: str) -> tuple:
     raise ValueError(f"{what} must be integers, got {values!r}")
 
 
+def _digits(text: str) -> int:
+    return sum(map(str.isdigit, text))
+
+
 def _rational(value) -> Fraction:
-    """`Fraction(value)`, with a zero denominator from outside as ValueError."""
+    """`Fraction(value)` for a value read from outside the program, with a
+    zero denominator as ValueError.  A string is sized first against the
+    interpreter's digit limit (read each time): if its exponent, or the
+    numerator or denominator `Fraction` would build, has more digits, it is
+    refused before anything is built, so 1e999999999 costs nothing."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    # without an exponent, no number built has more digits than the text
+    if limit and isinstance(value, str) and (len(value) > limit or "e" in value.lower()):
+        head, _, den = value.partition("/")
+        mantissa, _, exp = head.lower().partition("e")
+        size = _digits(exp) if re.fullmatch(r"[-+]?\d+(?:_\d+)*", exp.strip()) else 0
+        shift = int(exp) if 0 < size <= limit else 0
+        # mantissa * 10^shift over den, or over 10^(decimals - shift)
+        top = _digits(mantissa) + max(shift, 0)
+        bottom = max(_digits(den), _digits(mantissa.partition(".")[2]) - min(shift, 0) + 1)
+        if max(size, top, bottom) > limit:
+            raise ValueError(f"a rational with more than {limit} digits in its numerator, "
+                             f"denominator or exponent: at most {limit} are read")
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -128,6 +151,20 @@ def _fold(m: int, terms) -> list:
     return out
 
 
+def _product(ta, sa: int, tb, sb: int, m: int) -> list:
+    """The coefficients of x^0..x^(m-1) of sum(c * x^(e*sa)) over the (e, c)
+    pairs of `ta` times sum(c * x^(e*sb)) over those of `tb` in Q[x]/(x^m - 1):
+    exponents scaled by their side's stride and added mod m; zeros are skipped."""
+    tb = [(e * sb % m, c) for e, c in tb if c]
+    prod = [0] * m
+    for ea, ca in ta:
+        if ca:
+            ea = ea * sa % m
+            for eb, cb in tb:
+                prod[(ea + eb) % m] += ca * cb
+    return prod
+
+
 # A sparse form is (m, den, ((e, c), ...)): sum(c * x^e) / den in
 # Q[x]/(x^m - 1), whose image at x = zeta_m is a number of Q(zeta_m).  In it
 # a product is index addition mod m and a change of order is index scaling,
@@ -166,12 +203,8 @@ def _sparse_product(a: tuple, b: tuple) -> tuple:
     if len(ta) == 1 and len(tb) == 1:
         (ea, ca), (eb, cb) = ta[0], tb[0]
         return m, da * db, (((ea * sa + eb * sb) % m, ca * cb),)
-    prod = {}
-    for ea, ca in ta:
-        for eb, cb in tb:
-            e = (ea * sa + eb * sb) % m
-            prod[e] = prod.get(e, 0) + ca * cb
-    return m, da * db, tuple(prod.items())
+    prod = _product(ta, sa, tb, sb, m)
+    return m, da * db, tuple((e, c) for e, c in enumerate(prod) if c)
 
 
 def _from_sparse(form: tuple) -> "CycNum":
@@ -187,22 +220,6 @@ def _lowest(nums, den: int) -> tuple:
         if g != 1:
             return tuple(c // g for c in nums), den // g
     return tuple(nums), den
-
-
-def _multiply(xs, ys, m: int) -> list:
-    """The product of two integer coordinate vectors of Q(zeta_m)."""
-    prod = [0] * (len(xs) + len(ys) - 1)
-    for i, x in enumerate(xs):
-        if x:
-            for j, y in enumerate(ys):
-                if y:
-                    prod[i + j] += x * y
-    return _fold(m, enumerate(prod))
-
-
-def _conjugate(xs, k: int, m: int) -> list:
-    """sigma_k(x): the coordinates of x with z replaced by z^k, k a unit mod m."""
-    return _fold(m, ((e * k % m, x) for e, x in enumerate(xs)))
 
 
 class CycNum:
@@ -312,8 +329,11 @@ class CycNum:
     def __mul__(self, other):
         if not isinstance(other, (CycNum, int, Fraction)):
             return NotImplemented
-        a, b = self._pair(other)
-        return CycNum._make(a.order, _multiply(a.nums, b.nums, a.order), a.den * b.den)
+        other = CycNum.promote(other)
+        ma, mb = self.order, other.order
+        m = ma if ma == mb else lcm(ma, mb)
+        prod = _product(enumerate(self.nums), m // ma, enumerate(other.nums), m // mb, m)
+        return CycNum._make(m, _fold(m, enumerate(prod)), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -327,11 +347,12 @@ class CycNum:
         others = [1] + [0] * (len(nums) - 1)
         if not self.is_rational():  # a rational is its own conjugate
             for k in range(2, m):
-                if gcd(k, m) == 1:
-                    others = _multiply(others, _conjugate(nums, k, m), m)
+                if gcd(k, m) == 1:  # sigma_k(x) is x at stride k
+                    others = _fold(m, enumerate(_product(enumerate(others), 1,
+                                                         enumerate(nums), k, m)))
         # x = nums / den, so P = others / den^(phi-1), N(x) = norm / den^phi
         # and 1/x = others * den / norm
-        norm = _multiply(nums, others, m)
+        norm = _fold(m, enumerate(_product(enumerate(nums), 1, enumerate(others), 1, m)))
         assert not any(norm[1:])
         scale = self.den if norm[0] > 0 else -self.den
         return CycNum._make(m, [c * scale for c in others], abs(norm[0]))

@@ -623,6 +623,39 @@ def test_integers_past_the_digit_limit_in_flags_and_words_exit_2(argv, named, l2
     assert line.startswith(named) and "set_int_max_str_digits" not in line
 
 
+@pytest.mark.parametrize("where, text", [
+    ("--alphabet", ONES), ("g-file", ONES), ("spec", ONES), ("g-file", "1e5000"),
+    ("g-file", "1e999999999"), ("spec", "1e-999999999"),
+])
+def test_rationals_past_the_digit_limit_exit_2(where, text, l2f3_file, tmp_path, capsys):
+    """A rational read from outside (an --alphabet token, a g-file value, a
+    spec term) whose numerator, denominator or exponent is too long for the
+    interpreter's conversion limit is refused in one line of the command
+    line's own.  It is sized before `Fraction` builds anything: 1e5000 was
+    read and failed only when printed, and 1e999999999 would be a number of
+    about 415 MB."""
+    if where == "--alphabet":
+        argv = ["search", "--dim", "1", "--n", "3", "--alphabet", text]
+    elif where == "g-file":
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"dim": 1, "c": [{"i": 1, "j": 1, "k": 1, "val": text}]}))
+        argv = ["make-ansatz", "--n", "1", "--g-file", str(gpath), "--skip-check"]
+    else:
+        data = json.loads(open(l2f3_file).read())
+        data["eps"][0]["val"] = {"order": 1, "terms": [[0, text]]}
+        spec = tmp_path / "long.json"
+        spec.write_text(json.dumps(data))
+        argv = ["verify", str(spec)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "set_int_max_str_digits" not in line
+    assert "a rational with more than" in line
+
+
 def test_anyspace_slot_count_at_the_limit_expands(capsys):
     assert main(["anyspace", "--n", "3", "expand", f"t{MAX_SLOTS}"]) == 0
     assert capsys.readouterr().out == f"(1)*t{MAX_SLOTS}\n"

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -179,6 +180,27 @@ def test_zero_denominator_is_a_value_error():
         CycNum.from_json({"order": 1, "terms": [[0, "1/0"]]})
     with pytest.raises(ValueError, match="zero denominator"):
         CycNum.from_rational("1/0")
+
+
+LIMIT = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+
+
+@pytest.mark.skipif(not LIMIT, reason="this interpreter converts integers of any length")
+def test_rationals_are_sized_to_the_digit_limit():
+    """A rational read from outside is refused exactly when a number that
+    `Fraction` would build from it has more digits than the interpreter
+    converts: 10^k has k + 1 digits, and a decimal point puts a power of
+    ten in the denominator."""
+    read = {f"1e{LIMIT - 1}": Fraction(10 ** (LIMIT - 1)),
+            f"1e-{LIMIT - 1}": Fraction(1, 10 ** (LIMIT - 1)),
+            "7" * LIMIT + "/" + "9" * LIMIT: Fraction(int("7" * LIMIT), int("9" * LIMIT)),
+            "0." + "1" * (LIMIT - 1): Fraction(int("1" * (LIMIT - 1)), 10 ** (LIMIT - 1))}
+    for text, value in read.items():
+        assert CycNum.from_rational(text).coeffs == (value,)
+    for text in (f"1e{LIMIT}", f"1e-{LIMIT}", "1" * (LIMIT + 1), "1/" + "1" * (LIMIT + 1),
+                 "0." + "1" * LIMIT, "1e" + "0" * LIMIT + "1"):
+        with pytest.raises(ValueError, match=f"more than {LIMIT} digits"):
+            CycNum.from_rational(text)
 
 
 def test_predicates_and_str():

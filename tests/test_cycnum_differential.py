@@ -3,7 +3,9 @@ replaced (`reference.FractionCycNum`): seeded random values of mixed
 orders, the canonical form of every result, and the norm inverse against
 the extended Euclidean one.  Construction from more coordinates than the
 basis has, lifting and conjugation are pinned to polynomial division by
-Phi_m (`reference._reduce_mod_phi`)."""
+Phi_m (`reference._reduce_mod_phi`).  The one product, `_product`, is
+pinned through its three callers: `*`, the join's sparse product and
+`inverse`."""
 
 import random
 from fractions import Fraction
@@ -12,7 +14,8 @@ from math import gcd, lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anylie.cyclotomic import CycNum, _conjugate, root_of_unity
+from anylie.cyclotomic import (CycNum, _fold, _from_sparse, _product, _sparse_product,
+                               _to_sparse, root_of_unity)
 
 from reference import FractionCycNum, _reduce_mod_phi, euler_phi, inverse_euclid
 
@@ -126,8 +129,54 @@ def test_long_coefficient_lists_fold_like_division():
         k = rng.choice([k for k in range(1, max(m, 2)) if gcd(k, m) == 1])
         raised = [Fraction(0)] * (k * len(coeffs))
         raised[::k] = coeffs
-        conjugate = CycNum._make(m, _conjugate(x.nums, k, m), x.den)
+        conjugate = CycNum._make(m, _fold(m, enumerate(_product(enumerate(x.nums), k,
+                                                                 ((0, 1),), 1, m))), x.den)
         assert conjugate.coeffs == _reduce_mod_phi(raised, m)
+
+
+# order 1, primes, a power of two and a product of three primes
+PRODUCT_ORDERS = [1, 2, 3, 5, 7, 11, 13, 16, 105]
+
+
+def monomial_or_dense(rng: random.Random, m: int):
+    """(library, oracle) for a rational times z^e, e < m, or for a value
+    with up to eight nonzero coordinates (three at order 105)."""
+    if rng.random() < 0.5:
+        e = rng.randrange(m)
+        coeffs = [Fraction(0)] * e + [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                               rng.randint(1, 4))]
+    else:
+        coeffs = random_coords(rng, m, 3 if m == 105 else 8)
+    return CycNum(m, coeffs), FractionCycNum(m, coeffs)
+
+
+def test_the_one_product_matches_the_fraction_class():
+    """`*` (strides L/m into the lcm order L), the join's sparse product
+    (its monomial shortcut and its general loop) and `inverse` (each
+    conjugate at stride k) all multiply through `_product`: on mixed-order
+    pairs each gives the oracle's value, `*` and the sparse product at the
+    lcm order, `inverse` that of the extended Euclidean algorithm."""
+    rng = random.Random(29)
+    shapes = set()
+    pairs = 0
+    while pairs < 600:
+        m1, m2 = rng.choice(PRODUCT_ORDERS), rng.choice(PRODUCT_ORDERS)
+        if lcm(m1, m2) > MAX_LCM:
+            continue
+        pairs += 1
+        (a, a_old), (b, b_old) = monomial_or_dense(rng, m1), monomial_or_dense(rng, m2)
+        product = a * b
+        assert product.order == lcm(m1, m2)
+        assert_same(product, a_old * b_old)
+        sa, sb = _to_sparse(a), _to_sparse(b)
+        shapes.add((len(sa[2]) == 1, len(sb[2]) == 1))
+        assert_same(_from_sparse(_sparse_product(sa, sb)), a_old * b_old)
+        if not a.is_zero():
+            inv = a.inverse()
+            assert inv.order == m1 and inv.coeffs == inverse_euclid(a)
+            assert_canonical(inv)
+    # monomial times monomial, monomial times dense and dense times dense
+    assert shapes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_json_exponents_past_the_order_fold_like_division():
